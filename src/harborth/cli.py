@@ -45,6 +45,17 @@ def _bits(digits):
     return max(64, digits * 10 // 3)
 
 
+def _width(raw):
+    try:
+        value = Fraction(raw)
+    except (ValueError, ZeroDivisionError):
+        value = None
+    if value is None or value <= 0:
+        raise argparse.ArgumentTypeError(
+            "must be a positive number, got %r" % raw)
+    return value
+
+
 def _parser():
     top = argparse.ArgumentParser(
         prog="harborth",
@@ -71,7 +82,7 @@ def _parser():
     r = sub.add_parser("roots", help="isolate real roots of a JSON "
                                      "polynomial")
     r.add_argument("file", help="polynomial in the JSON exchange format")
-    r.add_argument("--refine", metavar="WIDTH",
+    r.add_argument("--refine", metavar="WIDTH", type=_width,
                    help="shrink each isolating interval below WIDTH")
 
     e = sub.add_parser("explore", help="tabulate phi(T) over [0, b]")
@@ -137,12 +148,11 @@ def _cmd_roots(args):
         return 2
     iso = isolate(poly)
     chain = sturm_chain(iso.poly)
-    width = Fraction(args.refine) if args.refine else None
     print("%d real root(s) of degree-%d polynomial in %s"
           % (iso.count, poly.degree, poly.var))
     for lo, hi in iso.intervals:
-        if width is not None:
-            lo, hi = refine(iso.poly, (lo, hi), width, chain)
+        if args.refine is not None:
+            lo, hi = refine(iso.poly, (lo, hi), args.refine, chain)
         mid = (lo + hi) / 2
         print("  (%s, %s)  ~ %.15g" % (lo, hi, float(mid)))
     return 0

@@ -20,10 +20,8 @@ DEFAULT_PREC = 400
 def _norm(m, e):
     if m == 0:
         return 0, 0
-    while m % 2 == 0:
-        m //= 2
-        e += 1
-    return m, e
+    tz = (m & -m).bit_length() - 1
+    return m >> tz, e + tz
 
 
 def _round_down(m, e, prec):
@@ -48,6 +46,19 @@ def _cmp(m1, e1, m2, e2):
     else:
         m2 <<= e2 - e1
     return (m1 > m2) - (m1 < m2)
+
+
+def _lowest(pairs):
+    """Least of the dyadics m * 2**e in `pairs`, compared exactly at their
+    common exponent; returned as (m, e) at that exponent."""
+    e = min(pe for _, pe in pairs)
+    return min(m << (pe - e) for m, pe in pairs), e
+
+
+def _highest(pairs):
+    """Greatest of the dyadics m * 2**e in `pairs`; see _lowest."""
+    e = min(pe for _, pe in pairs)
+    return max(m << (pe - e) for m, pe in pairs), e
 
 
 def _div_adjust(am, ae, bm, be, prec):
@@ -239,8 +250,7 @@ class DyadicInterval:
         for m1, e1 in ((self.lo_m, self.lo_e), (self.hi_m, self.hi_e)):
             for m2, e2 in ((other.lo_m, other.lo_e), (other.hi_m, other.hi_e)):
                 cands.append((m1 * m2, e1 + e2))
-        lo = min(cands, key=_key)
-        hi = max(cands, key=_key)
+        lo, hi = _lowest(cands), _highest(cands)
         return self._wrap(lo[0], lo[1], hi[0], hi[1], prec)
 
     __rmul__ = __mul__
@@ -256,8 +266,7 @@ class DyadicInterval:
                 d, u, e = _div_adjust(m1, e1, m2, e2, prec)
                 downs.append((d, e))
                 ups.append((u, e))
-        lo = min(downs, key=_key)
-        hi = max(ups, key=_key)
+        lo, hi = _lowest(downs), _highest(ups)
         return self._wrap(lo[0], lo[1], hi[0], hi[1], prec)
 
     def __rtruediv__(self, other):
@@ -268,11 +277,11 @@ class DyadicInterval:
         prec = self.prec
         lo2 = (self.lo_m * self.lo_m, 2 * self.lo_e)
         hi2 = (self.hi_m * self.hi_m, 2 * self.hi_e)
-        hi = max(lo2, hi2, key=_key)
+        hi = _highest((lo2, hi2))
         if self.contains_zero():
             lo = (0, 0)
         else:
-            lo = min(lo2, hi2, key=_key)
+            lo = _lowest((lo2, hi2))
         return self._wrap(lo[0], lo[1], hi[0], hi[1], prec)
 
     def sqrt(self):
@@ -289,11 +298,6 @@ class DyadicInterval:
     def with_prec(self, prec):
         return DyadicInterval(self.lo_m, self.lo_e, self.hi_m, self.hi_e, prec)
 
-    def hull(self, other):
-        lo = min((self.lo_m, self.lo_e), (other.lo_m, other.lo_e), key=_key)
-        hi = max((self.hi_m, self.hi_e), (other.hi_m, other.hi_e), key=_key)
-        return DyadicInterval(lo[0], lo[1], hi[0], hi[1], min(self.prec, other.prec))
-
     def decimal(self, digits):
         """Decimal string of the midpoint, rounded to `digits` places."""
         scaled = self.midpoint() * 10 ** digits
@@ -303,13 +307,6 @@ class DyadicInterval:
             return sign + str(abs(q))
         s = str(abs(q)).rjust(digits + 1, "0")
         return "%s%s.%s" % (sign, s[:-digits], s[-digits:])
-
-
-def _key(pair):
-    m, e = pair
-    if e >= 0:
-        return Fraction(m << e)
-    return Fraction(m, 1 << -e)
 
 
 def _as_interval(x, prec):

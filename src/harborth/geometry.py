@@ -20,6 +20,7 @@ fifteen-digit coordinates and kept static; see BRANCHES).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -184,11 +185,16 @@ def phi(T, precision=DEFAULT_PREC):
                            m_alpha, m_beta)
 
 
+def _gap(T, prec):
+    """Enclosure of x_H - x_J at height T."""
+    cfg = build_config(T, prec)
+    return cfg.points["H"][0] - cfg.points["J"][0]
+
+
 def _gap_sign(T, prec):
     """Sign of x_H - x_J; positive below the solved height."""
     while True:
-        cfg = build_config(T, prec)
-        s = (cfg.points["H"][0] - cfg.points["J"][0]).sign()
+        s = _gap(T, prec).sign()
         if s:
             return s
         prec *= 2
@@ -196,24 +202,82 @@ def _gap_sign(T, prec):
             raise Ambiguous("cannot decide the crossbar gap sign at %r" % T)
 
 
+def _locate_cell(gap, cells):
+    """Secant guess of the grid cell holding the root of `gap`.
+
+    gap(i) is the midpoint of the x_H - x_J enclosure at grid point i,
+    0 <= i <= cells.  The iteration runs on grid indices, starting from the
+    two bracket ends, and stops once a step moves by less than one cell, or
+    after as many steps as bisection would take.  Nothing here is
+    certified: the guess only decides where solve_T looks first."""
+    x0, x1 = 0, cells
+    f0, f1 = gap(x0), gap(x1)
+    for _ in range(cells.bit_length()):
+        if f1 == f0:
+            break
+        x = x1 - f1 * (x1 - x0) / (f1 - f0)
+        k = min(max(math.floor(x), 0), cells - 1)
+        if abs(x - x1) < 1:
+            return k
+        x0, f0, x1, f1 = x1, f1, k, gap(k)
+    return min(x1, cells - 1)
+
+
+def _certify_cell(sign, k, cells):
+    """Grid indices (a, a + 1) with sign(a) > 0 > sign(a + 1).
+
+    Starts from the guessed cell (k, k + 1) and, while a certified sign
+    disagrees with it, gallops toward the sign change with doubling steps;
+    the bracket found that way is then bisected.  A bad guess costs probes,
+    never a different cell."""
+    known = {}
+
+    def s(i):
+        if i not in known:
+            known[i] = sign(i)
+        return known[i]
+
+    a, b, step = k, k + 1, 1
+    while s(a) < 0:
+        if a == 0:
+            raise ValueError("bisection bracket does not straddle the "
+                             "solution")
+        a, b, step = max(0, a - step), a, 2 * step
+    while s(b) > 0:
+        if b == cells:
+            raise ValueError("bisection bracket does not straddle the "
+                             "solution")
+        a, b, step = b, min(cells, b + step), 2 * step
+    while b - a > 1:
+        mid = (a + b) // 2
+        if s(mid) > 0:
+            a = mid
+        else:
+            b = mid
+    return a, b
+
+
 def solve_T(tolerance=Fraction(1, 10 ** 16)):
     """Enclosure of the height at which the crossbar HJ turns vertical.
 
-    Bisection on the certified sign of x_H - x_J, which decreases through
-    zero on the bracket (0.12, 0.13)."""
+    x_H - x_J decreases through zero on the bracket (0.12, 0.13).  Cut the
+    bracket into 2**n equal cells, n the least with a cell width h at most
+    `tolerance`; the answer is the cell [lo + a*h, lo + (a+1)*h] on whose
+    ends the certified gap sign turns from + to -, the same cell that
+    bisecting the bracket n times returns.  A secant iteration on the
+    midpoint of the x_H - x_J enclosure locates the cell in about a dozen
+    constructions, and two _gap_sign calls certify it."""
     tolerance = Fraction(tolerance)
     lo, hi = SOLUTION_BRACKET
     prec = max(128, tolerance.denominator.bit_length()
                - tolerance.numerator.bit_length() + 96)
-    if _gap_sign(lo, prec) <= 0 or _gap_sign(hi, prec) >= 0:
-        raise ValueError("bisection bracket does not straddle the solution")
-    while hi - lo > tolerance:
-        mid = (lo + hi) / 2
-        if _gap_sign(mid, prec) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return DyadicInterval.from_endpoints(lo, hi, prec)
+    ratio, cells = (hi - lo) / tolerance, 1
+    while cells < ratio:
+        cells *= 2
+    h = (hi - lo) / cells
+    k = _locate_cell(lambda i: _gap(lo + i * h, prec).midpoint(), cells)
+    a, b = _certify_cell(lambda i: _gap_sign(lo + i * h, prec), k, cells)
+    return DyadicInterval.from_endpoints(lo + a * h, lo + b * h, prec)
 
 
 def _endpoint():

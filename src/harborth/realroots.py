@@ -141,14 +141,18 @@ def isolate(p):
 
 
 def refine(p, interval, width, chain=None):
-    """Shrink an isolating interval below `width` (bisection, exact)."""
+    """Shrink an isolating interval below `width` (bisection, exact).
+
+    Raises ValueError for a width <= 0, which bisection never reaches."""
+    width = Fraction(width)
+    if width <= 0:
+        raise ValueError("refinement width must be positive, got %s" % width)
     p = p.map_ring(ZZ)
     lo, hi = Fraction(interval[0]), Fraction(interval[1])
     chain = chain or sturm_chain(p.squarefree_part().clear_denominators())
     work = chain[0]
     if sturm_count(work, lo, hi, chain) != 1:
         raise ValueError("interval does not isolate a single root")
-    width = Fraction(width)
     while hi - lo > width:
         mid = (lo + hi) / 2
         if not work.eval(mid):

@@ -45,6 +45,16 @@ class TestRoots:
         assert "6 real root(s)" in out
         assert "0.120725337054926" in out
 
+    @pytest.mark.parametrize("width", ["0", "-1", "abc", "1/0"])
+    def test_bad_refine_width(self, tmp_path, capsys, width):
+        path = tmp_path / "x2.json"
+        path.write_text(json.dumps(
+            {"var": "x", "ring": "Z", "coeffs": ["-2", "0", "1"]}))
+        with pytest.raises(SystemExit) as err:
+            main(["roots", str(path), "--refine", width])
+        assert err.value.code == 2
+        assert "--refine" in capsys.readouterr().err
+
     def test_missing_file(self, capsys):
         assert main(["roots", "/does/not/exist.json"]) == 2
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from harborth.dyadic import DyadicInterval
+from harborth.dyadic import DyadicInterval, _highest, _lowest, _norm
 from harborth.errors import EntirelyNegative
 from harborth.quadratic import SQRT3, QuadInt, QuadRat
 
@@ -120,3 +120,50 @@ class TestDyadicInterval:
         iv = DyadicInterval.from_fraction(Fraction(1, 8))
         assert iv.decimal(3) == "0.125"
         assert DyadicInterval.from_int(-2).decimal(2) == "-2.00"
+
+
+def dyadic_value(pair):
+    m, e = pair
+    return Fraction(m) * Fraction(2) ** e
+
+
+class TestDyadicKernel:
+    def test_extremes_against_fraction_order(self):
+        rng = random.Random(11)
+        for _ in range(500):
+            pairs = [(rng.choice([0, rng.randint(-999, 999)]),
+                      rng.randint(-200, 200))
+                     for _ in range(rng.randint(1, 4))]
+            values = [dyadic_value(p) for p in pairs]
+            assert dyadic_value(_lowest(pairs)) == min(values)
+            assert dyadic_value(_highest(pairs)) == max(values)
+
+    def test_extremes_negative_zero_mixed_exponents(self):
+        pairs = [(0, 9), (-3, -40), (1, -300), (-1, 2)]
+        assert dyadic_value(_lowest(pairs)) == -4
+        assert dyadic_value(_highest(pairs)) == Fraction(1, 2 ** 300)
+        assert dyadic_value(_highest([(-5, 0), (-1, 3)])) == -5
+        assert dyadic_value(_lowest([(0, 4), (0, -4)])) == 0
+
+    def test_norm(self):
+        assert _norm(0, 7) == (0, 0)
+        assert _norm(-12, 1) == (-3, 3)
+        assert _norm(-1, 4) == (-1, 4)
+        assert _norm(40, -3) == (5, 0)
+        assert _norm(-(1 << 500), -500) == (-1, 0)
+        rng = random.Random(5)
+        for _ in range(200):
+            m, e = rng.randint(-10 ** 30, 10 ** 30), rng.randint(-99, 99)
+            nm, ne = _norm(m, e)
+            assert dyadic_value((nm, ne)) == dyadic_value((m, e))
+            assert nm % 2 == 1 or nm == 0
+
+    def test_mixed_sign_product_exact(self):
+        a = DyadicInterval.from_endpoints(Fraction(-3, 4), 5)
+        b = DyadicInterval.from_endpoints(-2, Fraction(1, 8))
+        ab = a * b
+        assert (ab.lo_fraction(), ab.hi_fraction()) == (-10, Fraction(3, 2))
+        q = b / DyadicInterval.from_endpoints(Fraction(1, 4), 2)
+        assert (q.lo_fraction(), q.hi_fraction()) == (-8, Fraction(1, 2))
+        sq = DyadicInterval.from_endpoints(-3, Fraction(-1, 2)).square()
+        assert (sq.lo_fraction(), sq.hi_fraction()) == (Fraction(1, 4), 9)

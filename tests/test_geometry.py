@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from harborth import golden
+from harborth import geometry, golden
+from harborth.dyadic import DyadicInterval
 from harborth.errors import MissingAnchor, NoIntersection, TangentDegenerate
 from harborth.geometry import (build_config, circ_circ, extremal,
                                frame_transform, phi, solve_T)
@@ -105,6 +106,82 @@ class TestSolveT:
         iv = solve_T(Fraction(1, 10 ** 40))
         assert iv.width() <= Fraction(1, 10 ** 40)
         assert str(iv.decimal(16)).startswith("0.12072533705492")
+
+
+def bisect_T(tolerance):
+    """Plain bisection of the solution bracket on the certified gap sign."""
+    tolerance = Fraction(tolerance)
+    lo, hi = geometry.SOLUTION_BRACKET
+    prec = max(128, tolerance.denominator.bit_length()
+               - tolerance.numerator.bit_length() + 96)
+    assert geometry._gap_sign(lo, prec) > 0 > geometry._gap_sign(hi, prec)
+    while hi - lo > tolerance:
+        mid = (lo + hi) / 2
+        if geometry._gap_sign(mid, prec) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return DyadicInterval.from_endpoints(lo, hi, prec)
+
+
+def same_interval(a, b):
+    return ((a.lo_m, a.lo_e, a.hi_m, a.hi_e, a.prec)
+            == (b.lo_m, b.lo_e, b.hi_m, b.hi_e, b.prec))
+
+
+@pytest.fixture()
+def construction_count(monkeypatch):
+    calls = []
+    real = geometry.build_config
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+    monkeypatch.setattr(geometry, "build_config", counting)
+    return calls
+
+
+class TestSolveTCell:
+    @pytest.mark.parametrize("digits", [16, 40, 100])
+    def test_matches_bisection(self, digits):
+        tol = Fraction(1, 10 ** digits)
+        assert same_interval(solve_T(tol), bisect_T(tol))
+
+    def test_few_constructions(self, construction_count):
+        solve_T(Fraction(1, 10 ** 100))
+        assert 0 < len(construction_count) <= 40
+
+    @pytest.mark.parametrize("offset", [-37, -1, 1, 5000])
+    def test_bad_guess_same_cell(self, monkeypatch, construction_count,
+                                 offset):
+        tol = Fraction(1, 10 ** 40)
+        expected = solve_T(tol)
+        lo, hi = geometry.SOLUTION_BRACKET
+        real = geometry._locate_cell
+        guessed = []
+
+        def off(gap, cells):
+            k = real(gap, cells) + offset
+            guessed.append(lo + k * (hi - lo) / cells)
+            return k
+        monkeypatch.setattr(geometry, "_locate_cell", off)
+        assert same_interval(solve_T(tol), expected)
+        assert guessed[0] in construction_count
+
+    @pytest.mark.parametrize("guess", ["first", "last"])
+    def test_guess_at_bracket_end(self, monkeypatch, guess):
+        tol = Fraction(1, 10 ** 16)
+        expected = solve_T(tol)
+        monkeypatch.setattr(
+            geometry, "_locate_cell",
+            lambda gap, cells: 0 if guess == "first" else cells - 1)
+        assert same_interval(solve_T(tol), expected)
+
+    def test_bracket_without_solution(self, monkeypatch):
+        monkeypatch.setattr(geometry, "SOLUTION_BRACKET",
+                            (Fraction(1, 100), Fraction(2, 100)))
+        with pytest.raises(ValueError):
+            solve_T(Fraction(1, 10 ** 8))
 
 
 @pytest.fixture(scope="module")

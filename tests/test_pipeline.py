@@ -58,6 +58,51 @@ class TestCache:
             assert r.poly == by_name[r.name].poly
             assert r.matches_reference == by_name[r.name].matches_reference
 
+    @pytest.mark.parametrize("stage, name", [(7, "x_A"), (4, "X~T"),
+                                             (5, "degree-156 eliminant")])
+    def test_tampered_record_rechecked(self, pipeline, tmp_path, stage,
+                                       name):
+        blob = json.loads(
+            (pipeline.cache_dir / ("stage%d.json" % stage)).read_text())
+        poly = next(r for r in blob["records"] if r["name"] == name)["poly"]
+        if poly["kind"] == "poly" and name in golden.MINPOLY_KEYS:
+            poly["coeffs"][0] = str(int(poly["coeffs"][0]) + 1)
+        elif poly["kind"] == "poly":
+            poly["coeffs"].append(poly["coeffs"][-1])  # one degree more
+        else:
+            a, b = poly["terms"][0][1]
+            poly["terms"][0][1] = [str(int(a) + 1), b]
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        (cache / ("stage%d.json" % stage)).write_text(json.dumps(blob))
+        recs = Pipeline(cache_dir=cache).run_stage(stage)
+        verdicts = {r.name: r.matches_reference for r in recs}
+        assert verdicts.pop(name) is False
+        assert all(verdicts.values())
+
+    @pytest.mark.parametrize("damage", [
+        lambda b: b.pop("records"),
+        lambda b: b["records"][0].pop("poly"),
+        lambda b: b["records"][0].update(poly=None),
+        lambda b: b["records"][0]["poly"].update(coeffs=7),
+        lambda b: b["records"][0].update(name="not a table"),
+        lambda b: b.update(records=[3]),
+    ])
+    def test_malformed_stage_is_a_miss(self, pipeline, tmp_path, damage):
+        blob = json.loads((pipeline.cache_dir / "stage7.json").read_text())
+        damage(blob)
+        (tmp_path / "stage7.json").write_text(json.dumps(blob))
+        fresh = Pipeline(cache_dir=tmp_path)
+        assert fresh._load_stage(7) is False
+        assert fresh.results == {} and fresh.records == {}
+
+    def test_malformed_stage_is_derived_again(self, pipeline, tmp_path):
+        good = (pipeline.cache_dir / "stage1.json").read_text()
+        (tmp_path / "stage1.json").write_text('{"stage": 1}\n')
+        recs = Pipeline(cache_dir=tmp_path).run_stage(1)
+        assert all(r.matches_reference for r in recs)
+        assert (tmp_path / "stage1.json").read_text() == good
+
     def test_missing_dependency(self, tmp_path):
         empty = Pipeline(cache_dir=tmp_path / "nothing")
         with pytest.raises(StageDependencyMissing):

@@ -96,6 +96,11 @@ class TestRefine:
             refine(poly_Z([-2, 0, 1]), (Fraction(-2), Fraction(2)),
                    Fraction(1, 10))
 
+    @pytest.mark.parametrize("width", [0, -1, Fraction(-1, 3)])
+    def test_non_positive_width_rejected(self, width):
+        with pytest.raises(ValueError):
+            refine(poly_Z([-2, 0, 1]), (Fraction(1), Fraction(2)), width)
+
 
 class TestSignature:
     def test_quadratics(self):
