@@ -139,7 +139,7 @@ def _cmd_roots(args):
         with open(args.file) as fh:
             blob = json.load(fh)
         poly = Poly.from_json_dict(blob)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         print("cannot read polynomial: %s" % exc, file=sys.stderr)
         return 2
     if poly.ring.name not in ("Z", "Q"):

@@ -166,6 +166,39 @@ def _quarter(vars, terms):
     return MultiPoly(ZZ, vars, terms)
 
 
+def _small_factors():
+    """The small factors of the degree-156 eliminant, over Z[sqrt(3)]."""
+    return (("2T + sqrt(3)", golden.linear_sqrt3_factor(1)),
+            ("2T - sqrt(3)", golden.linear_sqrt3_factor(-1)),
+            ("64T^4 - 24T^2 + 9",
+             golden.small_quartic_factor().map_ring(ZS3)))
+
+
+def _eliminant_accounting(elim, minpoly_T):
+    """Factor accounting of the degree-156 eliminant by exact division.
+
+    Divides out the small factors as often as they divide, then the
+    parameter minimal polynomial once (NotDivisible if it does not
+    divide), and records the degree of the cofactor left over."""
+    accounting = {"full_degree": elim.degree, "factors": {}}
+    work = elim
+    for label, f in _small_factors():
+        count = 0
+        while f.divides(work):
+            work = work.exact_div(f).primitive_part()
+            count += 1
+        accounting["factors"][label] = count
+    cand = minpoly_T.map_ring(ZS3)
+    if not cand.divides(work):
+        raise NotDivisible(
+            "reconstructed parameter polynomial does not divide the "
+            "degree-%d eliminant" % elim.degree)
+    cofactor = work.exact_div(cand).primitive_part()
+    accounting["factors"]["parameter minimal polynomial"] = 1
+    accounting["cofactor_degree"] = cofactor.degree
+    return accounting
+
+
 class Pipeline:
     def __init__(self, cache_dir=".harborth-cache", precision=DEFAULT_PREC,
                  verbose=False):
@@ -538,22 +571,6 @@ class Pipeline:
         r1 = resultant(slope, self.results["X~T"].map_ring(ZS3), "X")
         r156 = resultant(r1, self.results["Y~T"].map_ring(ZS3), "Y")
         elim = r156.drop_vars().to_poly("T").primitive_part()
-        degree_full = elim.degree
-        accounting = {"full_degree": degree_full, "factors": {}}
-        work = elim
-        for sign, label in ((1, "2T + sqrt(3)"), (-1, "2T - sqrt(3)")):
-            f = golden.linear_sqrt3_factor(sign)
-            count = 0
-            while f.divides(work):
-                work = work.exact_div(f).primitive_part()
-                count += 1
-            accounting["factors"][label] = count
-        quartic = golden.small_quartic_factor().map_ring(ZS3)
-        count = 0
-        while quartic.divides(work):
-            work = work.exact_div(quartic).primitive_part()
-            count += 1
-        accounting["factors"]["64T^4 - 24T^2 + 9"] = count
 
         # reconstruct the degree-22 parameter polynomial from a certified
         # enclosure of the solved height (it is even, so search in T^2)
@@ -561,22 +578,15 @@ class Pipeline:
         cand = self._even_reconstruct(
             lambda d: solve_T(Fraction(1, 10 ** d)).square(), "T", digits)
         irreducibility_certificate(cand)
-        cand_s3 = cand.map_ring(ZS3)
-        if not cand_s3.divides(work):
-            raise NotDivisible(
-                "reconstructed parameter polynomial does not divide the "
-                "degree-%d eliminant" % degree_full)
-        cofactor = work.exact_div(cand_s3).primitive_part()
-        accounting["factors"]["parameter minimal polynomial"] = 1
-        accounting["cofactor_degree"] = cofactor.degree
-        self.accounting = accounting
+        self.accounting = _eliminant_accounting(elim, cand)
         recs.append(DerivationRecord(
             5, "degree-156 eliminant", "resultant",
-            ("slope(X,Y)", "X~T", "Y~T"), elim, degree_full == 156,
-            "degree %d" % degree_full))
+            ("slope(X,Y)", "X~T", "Y~T"), elim, elim.degree == 156,
+            "degree %d" % elim.degree))
         recs.append(self._record_minpoly(
             5, "T", "pslq+exact-division", ("solve_T", "degree-156 eliminant"),
-            cand, note="irreducible; cofactor degree %d" % cofactor.degree))
+            cand, note="irreducible; cofactor degree %d"
+            % self.accounting["cofactor_degree"]))
         return recs
 
     def _even_reconstruct(self, square_sample, var, digits):
@@ -692,6 +702,23 @@ class Pipeline:
 
     # -- certification ---------------------------------------------------------------------
 
+    def _accounting_rederived(self):
+        """Whether the stage-5 accounting, which may come from the cache,
+        is what exact division of the eliminant gives, and whether its
+        factor degrees add up to the eliminant's degree."""
+        T = self.results["T"]
+        try:
+            fresh = _eliminant_accounting(
+                self.results["degree-156 eliminant"], T)
+        except NotDivisible:
+            return False
+        degrees = {label: f.degree for label, f in _small_factors()}
+        degrees["parameter minimal polynomial"] = T.degree
+        total = sum(degrees[label] * m
+                    for label, m in fresh["factors"].items())
+        return (fresh == self.accounting
+                and total + fresh["cofactor_degree"] == fresh["full_degree"])
+
     def certify(self):
         """Certification report over all derived objects.
 
@@ -763,6 +790,7 @@ class Pipeline:
         payload["degree156"] = self.accounting
         ok = ok and self.accounting["full_degree"] == 156
         ok = ok and self.accounting["cofactor_degree"] == 108
+        ok = ok and self._accounting_rederived()
 
         ext = extremal(self.precision)
         payload["extremal"] = {

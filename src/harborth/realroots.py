@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .errors import EndpointRoot, NotSquarefree, ZeroInput
 from .poly import Poly
@@ -54,23 +55,29 @@ def sturm_chain(p):
             break
         den = 1
         for c in rem.coeffs:
-            den = den * c.denominator // _gcd(den, c.denominator)
+            den = den * c.denominator // gcd(den, c.denominator)
         rem = Poly(ZZ, [-(c * den) for c in rem.coeffs], p.var)
         chain.append(_positive_primitive(rem))
     return chain
 
 
-def _gcd(a, b):
-    from math import gcd
-    return gcd(a, b)
+def _sign_at(p, num, den=1):
+    """Sign of den**deg * p(num/den), which for den > 0 is the sign of
+    p(num/den): homogeneous Horner over the integers."""
+    acc, scale = 0, 1
+    for c in reversed(p.coeffs):
+        acc = acc * num + c * scale
+        scale *= den
+    return (acc > 0) - (acc < 0)
+
+
+def _sign_at_fraction(p, x):
+    return _sign_at(p, x.numerator, x.denominator)
 
 
 def _variations(chain, x):
-    signs = []
-    for q in chain:
-        v = q.eval(Fraction(x))
-        if v:
-            signs.append(1 if v > 0 else -1)
+    x = Fraction(x)
+    signs = [s for s in (_sign_at_fraction(q, x) for q in chain) if s]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
@@ -82,7 +89,7 @@ def sturm_count(p, lo, hi, chain=None):
     lo, hi = Fraction(lo), Fraction(hi)
     if lo > hi:
         raise ValueError("empty interval")
-    if not p.eval(lo) or not p.eval(hi):
+    if not _sign_at_fraction(p, lo) or not _sign_at_fraction(p, hi):
         raise EndpointRoot("polynomial vanishes at an endpoint")
     chain = chain or sturm_chain(p)
     return _variations(chain, lo) - _variations(chain, hi)
@@ -124,13 +131,14 @@ def isolate(p):
             out.append((lo, hi))
             continue
         mid = (lo + hi) / 2
-        if work.eval(mid):
+        if _sign_at_fraction(work, mid):
             stack.append((lo, mid))
             stack.append((mid, hi))
             continue
         # exact rational root at the midpoint: bracket it separately
         eps = (hi - lo) / 4
-        while (not work.eval(mid - eps) or not work.eval(mid + eps)
+        while (not _sign_at_fraction(work, mid - eps)
+               or not _sign_at_fraction(work, mid + eps)
                or sturm_count(work, mid - eps, mid + eps, chain) != 1):
             eps /= 2
         out.append((mid - eps, mid + eps))
@@ -143,7 +151,10 @@ def isolate(p):
 def refine(p, interval, width, chain=None):
     """Shrink an isolating interval below `width` (bisection, exact).
 
-    Raises ValueError for a width <= 0, which bisection never reaches."""
+    Once a Sturm count shows the interval isolates one root of the
+    squarefree chain head, each step keeps the half where the sign
+    changes.  Raises ValueError for a width <= 0, which bisection never
+    reaches."""
     width = Fraction(width)
     if width <= 0:
         raise ValueError("refinement width must be positive, got %s" % width)
@@ -153,14 +164,16 @@ def refine(p, interval, width, chain=None):
     work = chain[0]
     if sturm_count(work, lo, hi, chain) != 1:
         raise ValueError("interval does not isolate a single root")
+    sign_lo = _sign_at_fraction(work, lo)
     while hi - lo > width:
         mid = (lo + hi) / 2
-        if not work.eval(mid):
-            # rational root exactly at the midpoint; step slightly off it
+        sign_mid = _sign_at_fraction(work, mid)
+        if not sign_mid:
+            # the root is exactly at the midpoint; step off it (the root is
+            # the only one in the interval, so the new point is no root)
             mid = lo + (hi - lo) * Fraction(3, 8)
-            if not work.eval(mid):
-                mid = lo + (hi - lo) * Fraction(5, 16)
-        if sturm_count(work, lo, mid, chain) == 1:
+            sign_mid = _sign_at_fraction(work, mid)
+        if sign_mid != sign_lo:
             hi = mid
         else:
             lo = mid
@@ -173,7 +186,9 @@ def signature(p):
     p = p.map_ring(ZZ)
     if p.degree < 1:
         raise ZeroInput("signature of a constant")
-    if not p.is_squarefree():
+    iso = isolate(p)
+    if iso.poly.degree != p.degree:
+        # isolation works on the squarefree part, which only a repeated
+        # factor makes smaller
         raise NotSquarefree("signature requires a squarefree polynomial")
-    real = isolate(p).count
-    return Signature(p.degree, real, (p.degree - real) // 2)
+    return Signature(p.degree, iso.count, (p.degree - iso.count) // 2)

@@ -1,10 +1,22 @@
 """Exact arithmetic in the radical tower housing the construction coordinates.
 
-The base is Q[T]/(m(T)) for the degree-22 parameter minimal polynomial m;
+The base is Q[T]/(P) for the degree-22 parameter minimal polynomial P;
 on top sit five square roots (sqrt(3), the triangle height, the
 circle-intersection offset, the frame diagonal, and the upper-circle
 radicand).  Elements are stored as dictionaries mapping 0/1 exponent
-vectors over the generators to residue polynomials in T.
+vectors over the generators to base residues.
+
+A base residue is a pair (nums, den): the integer coefficients of a
+polynomial of degree below n = deg P in the basis 1, T, ..., T^(n-1),
+over one positive integer denominator.  Residues are canonical -- no
+trailing zero coefficient, gcd(content, den) == 1, and zero is never
+stored -- so equality and the formal zero verdicts are exact tuple
+comparisons.  A product is an integer convolution followed by one pass
+over a table of the integer rows L^(n-1) T^(n+k) mod P (L the leading
+coefficient of the primitive integer P), precomputed per tower, so
+multiplication never builds a Fraction.  Residues become Q-polynomials
+only at the edges: `Tower.base`, `TowerElement.base_poly`, and the
+inverse of a base element.
 
 Zero decisions are exact: an element with no coefficients is zero as a
 formal tower element; otherwise the product with its conjugates descends
@@ -17,11 +29,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .dyadic import DEFAULT_PREC, DyadicInterval
-from .poly import Poly, poly_Q
+from .factor import _poly_ext_gcd
+from .poly import Poly
 from .realroots import refine, sturm_chain
-from .rings import QQ
+from .rings import QQ, ZZ
 
 
 @dataclass(frozen=True)
@@ -33,6 +47,56 @@ class ZeroTest:
         return self.verdict == "proved-zero"
 
 
+# ---------------------------------------------------------------------------
+# base residues: (integer coefficient tuple, positive denominator)
+# ---------------------------------------------------------------------------
+
+def _canon(nums, den):
+    """Canonical residue of nums/den (den > 0), or None for zero."""
+    nums = list(nums)
+    while nums and not nums[-1]:
+        nums.pop()
+    if not nums:
+        return None
+    g = gcd(den, *nums)
+    if g > 1:
+        nums = [c // g for c in nums]
+        den //= g
+    return tuple(nums), den
+
+
+def _add(a, b):
+    (A, da), (B, db) = a, b
+    g = gcd(da, db)
+    fa, fb = db // g, da // g
+    n = max(len(A), len(B))
+    A = [c * fa for c in A] + [0] * (n - len(A))
+    for i, c in enumerate(B):
+        A[i] += c * fb
+    return _canon(A, da * fa)
+
+
+def _neg(a):
+    return tuple(-c for c in a[0]), a[1]
+
+
+def _reduction_table(P):
+    """Rows L^(n-1) * T^(n+k) mod P, k = 0 .. n-2, as integer tuples.
+
+    With L*T^n == r0 := -(p_0 + ... + p_(n-1) T^(n-1)) mod P, the vector
+    v_k = L^(k+1) T^(n+k) mod P is integral, v_(k+1) = L*T*v_k folds its
+    top coefficient back through r0, and row k is L^(n-2-k) * v_k."""
+    n, L = P.degree, P.lc
+    r0 = [-c for c in P.coeffs[:n]]
+    rows, v = [], r0
+    for k in range(n - 1):
+        scale = L ** (n - 2 - k)
+        rows.append(tuple(c * scale for c in v))
+        top = v[-1]
+        v = [top * r0[0]] + [L * v[i - 1] + top * r0[i] for i in range(1, n)]
+    return rows
+
+
 class Tower:
     """Q[T]/(modulus) extended by square roots with fixed positive branches.
 
@@ -42,14 +106,49 @@ class Tower:
     """
 
     def __init__(self, modulus, root_interval):
-        modulus = modulus.map_ring(QQ).monic()
-        self.modulus = modulus
-        self.degree = modulus.degree
+        P = modulus.map_ring(QQ).clear_denominators()
+        self.modulus = P.monic()
+        self.degree = P.degree
         self.names = []
         self.squares = []
-        self._chain = sturm_chain(modulus.clear_denominators())
+        self._table = _reduction_table(P)
+        self._scale = P.lc ** (P.degree - 1)
+        self._chain = sturm_chain(P)
         self._root = (Fraction(root_interval[0]), Fraction(root_interval[1]))
         self._gen_ivs = {}    # prec -> list of generator intervals
+
+    # -- residue arithmetic --------------------------------------------------
+
+    def _mulmod(self, a, b):
+        """Canonical residue of a*b modulo the base modulus."""
+        (A, da), (B, db) = a, b
+        prod = [0] * (len(A) + len(B) - 1)
+        for i, x in enumerate(A):
+            if x:
+                for j, y in enumerate(B):
+                    prod[i + j] += x * y
+        n = self.degree
+        if len(prod) <= n:
+            return _canon(prod, da * db)
+        s = self._scale
+        out = [c * s for c in prod[:n]]
+        for c, row in zip(prod[n:], self._table):
+            if c:
+                for i, r in enumerate(row):
+                    out[i] += c * r
+        return _canon(out, da * db * s)
+
+    def _residue(self, p):
+        """Canonical residue of a Q-polynomial in T."""
+        p = p.map_ring(QQ) % self.modulus
+        den = 1
+        for c in p.coeffs:
+            den = den * c.denominator // gcd(den, c.denominator)
+        return _canon([int(c * den) for c in p.coeffs], den)
+
+    def _poly(self, res):
+        nums, den = res
+        return Poly(QQ, [Fraction(c, den) for c in nums], self.modulus.var)
 
     # -- element constructors ---------------------------------------------
 
@@ -57,23 +156,25 @@ class Tower:
         return TowerElement(self, {})
 
     def base(self, p):
-        """Element from a Q-polynomial in T (reduced modulo the modulus)."""
-        if not isinstance(p, Poly):
-            p = poly_Q([Fraction(p)], self.modulus.var)
-        p = p.map_ring(QQ) % self.modulus
-        if p.is_zero():
+        """Element from a rational or a Q-polynomial in T (reduced modulo
+        the modulus)."""
+        if isinstance(p, Poly):
+            res = self._residue(p)
+        else:
+            p = Fraction(p)
+            res = _canon([p.numerator], p.denominator)
+        if res is None:
             return self.zero()
-        return TowerElement(self, {(0,) * len(self.names): p})
+        return TowerElement(self, {(0,) * len(self.names): res})
 
     def param(self):
-        return self.base(poly_Q([0, 1], self.modulus.var))
+        return self.base(Poly(QQ, [0, 1], self.modulus.var))
 
     def gen(self, name):
         i = self.names.index(name)
         exps = [0] * len(self.names)
         exps[i] = 1
-        one = poly_Q([1], self.modulus.var)
-        return TowerElement(self, {tuple(exps): one})
+        return TowerElement(self, {tuple(exps): ((1,), 1)})
 
     def adjoin(self, name, square):
         """Add a generator whose square is the given lower element."""
@@ -107,22 +208,19 @@ class TowerElement:
     __slots__ = ("tower", "coeffs")
 
     def __init__(self, tower, coeffs):
+        """`coeffs` maps exponent tuples to canonical residues or None."""
         self.tower = tower
         width = len(tower.names)
-        clean = {}
-        for exps, p in coeffs.items():
-            exps = tuple(exps) + (0,) * (width - len(exps))
-            if not p.is_zero():
-                clean[exps] = p
-        self.coeffs = clean
+        self.coeffs = {tuple(e) + (0,) * (width - len(e)): r
+                       for e, r in coeffs.items() if r is not None}
 
     # -- structure -----------------------------------------------------------
 
     def _items(self):
         """Coefficient items with exponent tuples padded to current width."""
         w = len(self.tower.names)
-        for e, p in self.coeffs.items():
-            yield e + (0,) * (w - len(e)), p
+        for e, r in self.coeffs.items():
+            yield e + (0,) * (w - len(e)), r
 
     def is_zero_element(self):
         """Formally zero (all coefficients vanish)."""
@@ -141,9 +239,9 @@ class TowerElement:
     def base_poly(self):
         if self.top_level() >= 0:
             raise ValueError("element is not in the base ring")
-        for _, p in self._items():
-            return p
-        return poly_Q([], self.tower.modulus.var)
+        for _, r in self._items():
+            return self.tower._poly(r)
+        return Poly(QQ, [], self.tower.modulus.var)
 
     def __eq__(self, other):
         if not isinstance(other, TowerElement):
@@ -161,24 +259,22 @@ class TowerElement:
     def _coerce(self, other):
         if isinstance(other, TowerElement):
             return other
-        if isinstance(other, (int, Fraction)):
-            return self.tower.base(other)
-        if isinstance(other, Poly):
+        if isinstance(other, (int, Fraction, Poly)):
             return self.tower.base(other)
         raise TypeError("cannot interpret %r as a tower element" % (other,))
 
     def __add__(self, other):
         other = self._coerce(other)
         out = dict(self._items())
-        for e, p in other._items():
-            out[e] = out[e] + p if e in out else p
+        for e, r in other._items():
+            out[e] = _add(out[e], r) if e in out else r
         return TowerElement(self.tower, out)
 
     __radd__ = __add__
 
     def __neg__(self):
         return TowerElement(self.tower,
-                            {e: -p for e, p in self.coeffs.items()})
+                            {e: _neg(r) for e, r in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -189,26 +285,26 @@ class TowerElement:
     def __mul__(self, other):
         other = self._coerce(other)
         tower = self.tower
-        mod = tower.modulus
+        mulmod = tower._mulmod
         acc = {}
-        for e1, p1 in self._items():
-            for e2, p2 in other._items():
-                p = (p1 * p2) % mod
-                pending = [(tuple(a + b for a, b in zip(e1, e2)), p)]
+        for e1, r1 in self._items():
+            for e2, r2 in other._items():
+                pending = [(tuple(a + b for a, b in zip(e1, e2)),
+                            mulmod(r1, r2))]
                 while pending:
-                    e, p = pending.pop()
+                    e, r = pending.pop()
+                    if r is None:
+                        continue
                     hot = next((i for i, x in enumerate(e) if x >= 2), None)
                     if hot is None:
-                        if e in acc:
-                            acc[e] = acc[e] + p
-                        else:
-                            acc[e] = p
+                        prev = acc.get(e)
+                        acc[e] = _add(prev, r) if prev else r
                         continue
                     rest = list(e)
                     rest[hot] -= 2
-                    for se, sp in tower.squares[hot]._items():
+                    for se, sr in tower.squares[hot]._items():
                         ne = tuple(a + b for a, b in zip(rest, se))
-                        pending.append((ne, (p * sp) % mod))
+                        pending.append((ne, mulmod(r, sr)))
         return TowerElement(tower, acc)
 
     __rmul__ = __mul__
@@ -228,18 +324,18 @@ class TowerElement:
 
     def conj(self, level):
         """Flip the sign of the generator at the given level."""
-        out = {}
-        for e, p in self._items():
-            out[e] = -p if e[level] else p
-        return TowerElement(self.tower, out)
+        return TowerElement(self.tower, {e: _neg(r) if e[level] else r
+                                         for e, r in self._items()})
 
     def inverse(self):
         top = self.top_level()
         if top < 0:
-            p = self.base_poly()
-            if p.is_zero():
+            if self.is_zero_element():
                 raise ZeroDivisionError("inverse of the zero element")
-            inv = _invert_mod(p, self.tower.modulus)
+            g, _, inv = _poly_ext_gcd(self.tower.modulus, self.base_poly())
+            if g.degree != 0:
+                raise ZeroDivisionError(
+                    "element shares a factor with the modulus")
             return self.tower.base(inv)
         c = self.conj(top)
         norm = self * c
@@ -256,8 +352,8 @@ class TowerElement:
     def _eval_with(self, gen_ivs, prec):
         t_iv = gen_ivs[0]
         total = DyadicInterval.from_int(0, prec)
-        for e, p in self.coeffs.items():
-            term = p.eval_interval(t_iv)
+        for e, (nums, den) in self.coeffs.items():
+            term = Poly(ZZ, nums).eval_interval(t_iv) / den
             for i, k in enumerate(e):
                 for _ in range(k):
                     term = term * gen_ivs[1 + i]
@@ -283,8 +379,7 @@ class TowerElement:
             c = cur.conj(cur.top_level())
             cofactors.append(c)
             cur = cur * c
-        base = cur.base_poly()
-        if not base.is_zero():
+        if not cur.is_zero_element():
             # nonzero residue modulo an irreducible modulus cannot vanish
             # at the root, hence neither can any factor of the product
             return ZeroTest("proved-nonzero",
@@ -298,20 +393,6 @@ class TowerElement:
         return ZeroTest("proved-zero",
                         "conjugate norm vanishes; all %d cofactors are "
                         "interval-nonzero" % len(cofactors))
-
-
-def _invert_mod(p, modulus):
-    """Inverse of p in Q[T]/(modulus) by the extended Euclidean algorithm."""
-    a, b = modulus, p % modulus
-    s0, s1 = poly_Q([], p.var), poly_Q([1], p.var)
-    while not b.is_zero():
-        q, r = a.divmod(b)
-        a, b = b, r
-        s0, s1 = s1, s0 - q * s1
-    if a.degree != 0:
-        raise ZeroDivisionError("element shares a factor with the modulus")
-    inv_lc = Fraction(1) / a.coeff(0)
-    return Poly(QQ, [c * inv_lc for c in s0.coeffs], p.var) % modulus
 
 
 # ---------------------------------------------------------------------------

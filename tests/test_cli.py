@@ -58,6 +58,16 @@ class TestRoots:
     def test_missing_file(self, capsys):
         assert main(["roots", "/does/not/exist.json"]) == 2
 
+    @pytest.mark.parametrize("blob", [
+        {"var": "x", "ring": "Z", "coeffs": 7},
+        [1, 2],
+    ])
+    def test_malformed_file(self, tmp_path, capsys, blob):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(blob))
+        assert main(["roots", str(path)]) == 2
+        assert "cannot read polynomial" in capsys.readouterr().err
+
     def test_wrong_ring(self, tmp_path, capsys):
         path = tmp_path / "s3.json"
         path.write_text(json.dumps(

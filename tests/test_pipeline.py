@@ -80,6 +80,19 @@ class TestCache:
         assert verdicts.pop(name) is False
         assert all(verdicts.values())
 
+    def test_tampered_accounting_fails_certify(self, pipeline, tmp_path):
+        for n in range(1, 8):
+            name = "stage%d.json" % n
+            (tmp_path / name).write_text(
+                (pipeline.cache_dir / name).read_text())
+        blob = json.loads((tmp_path / "stage5.json").read_text())
+        blob["accounting"]["factors"]["64T^4 - 24T^2 + 9"] = 5
+        (tmp_path / "stage5.json").write_text(json.dumps(blob))
+        report = Pipeline(cache_dir=tmp_path).certify()
+        assert report.payload["degree156"]["factors"][
+            "64T^4 - 24T^2 + 9"] == 5
+        assert report.payload["all_checks_passed"] is False
+
     @pytest.mark.parametrize("damage", [
         lambda b: b.pop("records"),
         lambda b: b["records"][0].pop("poly"),

@@ -5,12 +5,47 @@ import pytest
 
 from harborth.errors import EndpointRoot, NotSquarefree, ZeroInput
 from harborth.poly import poly_Z
-from harborth.realroots import (isolate, refine, root_bound, signature,
-                                sturm_count)
+from harborth.realroots import (_sign_at, isolate, refine, root_bound,
+                                signature, sturm_chain, sturm_count)
 
 DEG22 = [-492075, 0, 52356780, 0, -1441635408, 0, 12222052416, 0,
          -60567699456, 0, 189747007488, 0, -417660420096, 0, 607025037312, 0,
          -655053815808, 0, 446118756352, 0, -422064422912, 0, 437348466688]
+
+
+def bisect_by_count(p, interval, width):
+    """Reference refinement: halve by a full Sturm count at every step."""
+    chain = sturm_chain(p)
+    lo, hi = Fraction(interval[0]), Fraction(interval[1])
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        if not p.eval(mid):
+            mid = lo + (hi - lo) * Fraction(3, 8)
+        if sturm_count(p, lo, mid, chain) == 1:
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
+class TestSignAt:
+    @pytest.mark.parametrize("coeffs", [DEG22, [-2, 0, 1], [0, 1, 0, -1],
+                                        [5], [0, 0, 3, -7, 1]])
+    def test_matches_fraction_evaluation(self, coeffs):
+        p = poly_Z(coeffs)
+        points = [Fraction(0), Fraction(-3), Fraction(7),
+                  Fraction(-5, 3), Fraction(1, 8), Fraction(-2495, 2 ** 14),
+                  Fraction(2 ** 70 + 1, 2 ** 71), Fraction(1), Fraction(-1)]
+        for x in points:
+            v = p.eval(x)
+            want = (v > 0) - (v < 0)
+            assert _sign_at(p, x.numerator, x.denominator) == want, x
+
+    def test_zero_at_roots(self):
+        p = poly_Z([0, 1]) * poly_Z([3, 2]) * poly_Z([-1, 0, 4])
+        for x in (Fraction(0), Fraction(-3, 2), Fraction(1, 2),
+                  Fraction(-1, 2)):
+            assert _sign_at(p, x.numerator, x.denominator) == 0
 
 
 class TestSturmCount:
@@ -95,6 +130,19 @@ class TestRefine:
         with pytest.raises(ValueError):
             refine(poly_Z([-2, 0, 1]), (Fraction(-2), Fraction(2)),
                    Fraction(1, 10))
+
+    @pytest.mark.parametrize("exp", [64, 400])
+    @pytest.mark.parametrize("coeffs, interval", [
+        (DEG22, (Fraction(12, 100), Fraction(13, 100))),
+        ([-2, 0, 1], (1, 2)),
+        ([0, -7, 1], (-1, 1)),           # root 0 at the first midpoint
+        ([-1, 0, 0, 3], (Fraction(-1, 3), Fraction(5, 3))),
+    ])
+    def test_matches_sturm_bisection(self, coeffs, interval, exp):
+        p = poly_Z(coeffs)
+        width = Fraction(1, 2 ** exp)
+        assert refine(p, interval, width) == \
+            bisect_by_count(p, interval, width)
 
     @pytest.mark.parametrize("width", [0, -1, Fraction(-1, 3)])
     def test_non_positive_width_rejected(self, width):

@@ -1,11 +1,58 @@
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from harborth import golden
 from harborth.poly import poly_Q, poly_Z
+from harborth.rings import QQ
 from harborth.tower import (Tower, build_coordinates, defining_constraints,
                             to_center_frame)
+
+
+def assert_canonical(element):
+    for nums, den in element.coeffs.values():
+        assert den > 0
+        assert nums and nums[-1] != 0
+        assert all(isinstance(c, int) for c in nums)
+        assert gcd(den, *nums) == 1
+
+
+class TestResidueKernel:
+    @pytest.mark.parametrize("modulus", [golden.minpoly("T"),
+                                         poly_Z([-2, 0, 1], "T")],
+                             ids=["P_T", "x^2-2"])
+    def test_mulmod_matches_fraction_reduction(self, modulus):
+        tw = Tower(modulus, (0, 2))
+        mod = modulus.map_ring(QQ)
+        rng = random.Random(20)
+        for _ in range(25):
+            polys = []
+            for _ in range(2):
+                size = rng.randint(1, tw.degree)
+                polys.append(poly_Q(
+                    [Fraction(rng.randint(-10 ** 6, 10 ** 6),
+                              rng.randint(1, 10 ** 4)) for _ in range(size)],
+                    "T"))
+            p1, p2 = polys
+            got = tw._mulmod(tw._residue(p1), tw._residue(p2))
+            want = (p1 * p2) % mod
+            if want.is_zero():
+                assert got is None
+            else:
+                assert tw._poly(got) == want
+                assert got == tw._residue(want)
+
+    def test_reduction_of_powers(self):
+        tw = Tower(golden.minpoly("T"), (Fraction(12, 100), Fraction(13, 100)))
+        T = tw.param()
+        power = tw.base(1)
+        for k in range(1, 2 * tw.degree):
+            power = power * T
+            want = poly_Q([0] * k + [1], "T") % tw.modulus
+            assert power.base_poly() == want, k
+            assert_canonical(power)
 
 
 @pytest.fixture(scope="module")
@@ -116,6 +163,15 @@ class TestCoordinates:
         assert len(eqs) == 14
         for label, residual in eqs:
             assert residual.zero_test().verdict == "proved-zero", label
+
+    def test_residues_are_canonical(self, coordinates):
+        _, coords = coordinates
+        kcoords = to_center_frame(coords)
+        for x, y in kcoords.values():
+            assert_canonical(x)
+            assert_canonical(y)
+        for _, residual in defining_constraints(kcoords):
+            assert_canonical(residual)
 
     def test_unit_distance_is_not_formal_everywhere(self, coordinates):
         # the orthogonality constraint really needs the minimal polynomial:
