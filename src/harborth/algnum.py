@@ -13,10 +13,11 @@ from fractions import Fraction
 
 from .dyadic import DEFAULT_PREC, DyadicInterval
 from .elim import resultant
-from .errors import Ambiguous, NotIrreducible, ZeroInput
-from .factor import factor_z, irreducibility_certificate, select_factor
+from .errors import Ambiguous
+from .factor import (_is_prime, factor_z, irreducibility_certificate,
+                     select_factor)
 from .multipoly import MultiPoly
-from .poly import Poly, poly_Z
+from .poly import poly_Z
 from .realroots import refine, signature, sturm_count
 from .rings import ZZ
 
@@ -211,17 +212,6 @@ class RadicalsVerdict:
     real_roots: int
     verdict: str           # "solvable" | "not-solvable" | "inconclusive"
     reason: str
-
-
-def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def radicals_criterion(p):

@@ -13,6 +13,9 @@ Subcommands:
 Exit codes: 0 on success, 1 on certification failure or computation
 error, 2 on usage errors.  The environment variable HARBORTH_DIGITS
 overrides the default working precision (decimal digits; default 120).
+Both share a floor of 15 digits (at 5, a circle intersection of the
+construction can no longer be decided): a smaller --digits is a usage
+error, and a smaller HARBORTH_DIGITS falls back to the default.
 """
 
 import argparse
@@ -29,15 +32,25 @@ from .realroots import isolate, refine, sturm_chain
 from .svg import FRAMES, render_svg
 
 DEFAULT_DIGITS = 120
+MIN_DIGITS = 15
 
 
-def _env_digits():
-    raw = os.environ.get("HARBORTH_DIGITS", "")
+def _digits(raw):
     try:
         value = int(raw)
     except ValueError:
+        value = None
+    if value is None or value < MIN_DIGITS:
+        raise argparse.ArgumentTypeError(
+            "must be an integer of at least %d, got %r" % (MIN_DIGITS, raw))
+    return value
+
+
+def _env_digits():
+    try:
+        return _digits(os.environ.get("HARBORTH_DIGITS", ""))
+    except argparse.ArgumentTypeError:
         return DEFAULT_DIGITS
-    return value if value >= 15 else DEFAULT_DIGITS
 
 
 def _bits(digits):
@@ -66,8 +79,9 @@ def _parser():
     d = sub.add_parser("derive", help="run the derivation pipeline")
     d.add_argument("--stage", type=int, choices=range(1, 8),
                    help="run a single stage (default: all seven)")
-    d.add_argument("--digits", type=int, default=None,
-                   help="working precision in decimal digits")
+    d.add_argument("--digits", type=_digits, default=None,
+                   help="working precision in decimal digits (at least %d)"
+                   % MIN_DIGITS)
     d.add_argument("--out", help="write the derived polynomials as JSON")
     d.add_argument("--cache", default=".harborth-cache",
                    help="stage cache directory")
@@ -76,7 +90,7 @@ def _parser():
 
     c = sub.add_parser("certify", help="run the full certification")
     c.add_argument("--report", help="write the JSON report to a file")
-    c.add_argument("--digits", type=int, default=None)
+    c.add_argument("--digits", type=_digits, default=None)
     c.add_argument("--cache", default=".harborth-cache")
 
     r = sub.add_parser("roots", help="isolate real roots of a JSON "
@@ -88,7 +102,7 @@ def _parser():
     e = sub.add_parser("explore", help="tabulate phi(T) over [0, b]")
     e.add_argument("--grid", type=int, required=True,
                    help="number of sample heights (at least 2)")
-    e.add_argument("--digits", type=int, default=None)
+    e.add_argument("--digits", type=_digits, default=None)
 
     v = sub.add_parser("render", help="write the SVG figure")
     v.add_argument("--frame", choices=FRAMES, default="K")
@@ -145,6 +159,10 @@ def _cmd_roots(args):
     if poly.ring.name not in ("Z", "Q"):
         print("root isolation needs rational coefficients, got ring %s"
               % poly.ring.name, file=sys.stderr)
+        return 2
+    if poly.degree < 1:
+        print("root isolation needs a polynomial of degree at least 1, "
+              "got a constant", file=sys.stderr)
         return 2
     iso = isolate(poly)
     chain = sturm_chain(iso.poly)

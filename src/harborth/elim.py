@@ -5,22 +5,10 @@ Buchberger engine for lexicographic Groebner bases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import DegreeTooLarge, ZeroInput
-from .multipoly import MultiPoly
+from .multipoly import MultiPoly, _extend, align
 from .poly import Poly
-from .rings import field_of, generic_exact_div
-
-
-@dataclass(frozen=True)
-class EliminationStep:
-    """Provenance record for one elimination."""
-    tool: str                      # "resultant" | "groebner"
-    eliminated: tuple              # variable name(s)
-    inputs: tuple = ()
-    outputs: tuple = ()
-    variable_order: tuple = ()
+from .rings import generic_exact_div
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +106,6 @@ def resultant(p, q, var):
         p = MultiPoly.from_poly(p)
     if isinstance(q, Poly):
         q = MultiPoly.from_poly(q)
-    from .multipoly import align
     p, q = align(p, q)
     if p.is_zero() or q.is_zero():
         raise ZeroInput("resultant of the zero polynomial")
@@ -136,7 +123,6 @@ def multipoly_gcd(p, q, var):
     Primitive pseudo-remainder sequence over the polynomial coefficient
     ring; the result is integer-primitive but may carry polynomial content
     in the remaining variables."""
-    from .multipoly import align
     p, q = align(p, q)
     if p.is_zero():
         return q
@@ -168,22 +154,28 @@ def _derivative_in(p, var):
     return MultiPoly(p.ring, p.vars, terms)
 
 
-def _drop_var_content(p, var):
-    """Divide out the gcd of the coefficients in `var` (one other variable)."""
-    from .multipoly import _extend
+def var_content(p, var, other):
+    """Primitive gcd of the nonzero coefficients of p in `var`, as a
+    polynomial in `other`, the only other variable occurring in p."""
+    cont = None
+    for c in p.coefficients_in(var):
+        if c:
+            cp = c.to_poly(other)
+            cont = cp if cont is None else cont.gcd(cp)
+            if cont.degree == 0:
+                break
+    return cont.primitive_part()
+
+
+def drop_var_content(p, var):
+    """p divided by its content in `var`, when one other variable occurs."""
     rest = [v for v in p.vars if v != var and p.degree(v) > 0]
     if len(rest) != 1:
         return p
-    cont = None
-    for c in p.coefficients_in(var):
-        if c.is_zero():
-            continue
-        cp = c.to_poly(rest[0])
-        cont = cp if cont is None else cont.gcd(cp)
-        if cont.degree == 0:
-            return p
-    cmp_ = MultiPoly.from_poly(cont, (rest[0],))
-    return p.exact_div(_extend(cmp_, p.vars)).primitive_part()
+    cont = var_content(p, var, rest[0])
+    if cont.degree < 1:
+        return p
+    return p.exact_div(MultiPoly.from_poly(cont, p.vars)).primitive_part()
 
 
 def squarefree_part(p, var):
@@ -191,9 +183,9 @@ def squarefree_part(p, var):
     g = multipoly_gcd(p, _derivative_in(p, var), var)
     if g.degree(var) < 1:
         return p
-    g = _drop_var_content(g, var)
+    g = drop_var_content(g, var)
     out = p.exact_div(g).primitive_part()
-    return _drop_var_content(out, var)
+    return drop_var_content(out, var)
 
 
 def sylvester_matrix(p, q):
@@ -326,17 +318,13 @@ def groebner(gens, order=None):
     if not gens:
         return []
     if order:
-        from .multipoly import _extend
         vars = tuple(order)
-        gens = [_extend(g, vars) for g in gens]
     else:
-        from .multipoly import align
         acc = gens[0]
         for g in gens[1:]:
             acc, _ = align(acc, g)
         vars = acc.vars
-        from .multipoly import _extend as _ex
-        gens = [_ex(g, vars) for g in gens]
+    gens = [_extend(g, vars) for g in gens]
     basis = [_monic(g) for g in gens]
     pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
     # sugar-flavoured selection: smallest lcm of leading monomials first
@@ -375,6 +363,5 @@ def groebner_contains(basis, p):
     p = p.to_field() if isinstance(p, MultiPoly) else MultiPoly.from_poly(p).to_field()
     if not basis:
         return not p
-    from .multipoly import _extend
     p = _extend(p, basis[0].vars)
     return not normal_form(p, basis)

@@ -49,10 +49,6 @@ class NotIrreducible(HarborthError):
     """Operation requires an irreducibility certificate."""
 
 
-class NegativeRadicand(HarborthError):
-    """A radical tower layer has a certified-negative radicand."""
-
-
 class NoIntersection(HarborthError):
     """Two circles do not intersect."""
 
@@ -67,7 +63,3 @@ class MissingAnchor(HarborthError):
 
 class StageDependencyMissing(HarborthError):
     """Pipeline stage run before its prerequisites."""
-
-
-class SelectionAmbiguous(HarborthError):
-    """Factor selection ambiguity bubbled up to the pipeline."""

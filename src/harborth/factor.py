@@ -8,10 +8,13 @@ Four engines live here:
 * factor_bivariate  -- bivariate over Z or Z[sqrt(3)] by specializing the
                        parameter, factoring the image and lifting each
                        candidate back as a power series in the parameter;
-* minpoly_reconstruct -- integer-relation (PSLQ) reconstruction of a minimal
-                       polynomial from a high-precision enclosure.  The
-                       output is a *candidate*: callers certify it exactly
-                       (by exact division or an algebraic zero test).
+* even_reconstruct  -- integer-relation (PSLQ) reconstruction of an even
+                       minimal polynomial from high-precision enclosures of
+                       the square of the number, at a known half-degree,
+                       rechecked on a sharper enclosure and certified
+                       irreducible.  That it vanishes at the number is a
+                       numerical finding: callers prove it exactly (by
+                       exact division or an algebraic zero test).
 
 select_factor picks the unique factor vanishing at an interval witness, and
 irreducibility_certificate records why a polynomial admits no proper factor.
@@ -21,10 +24,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt
 
 from .dyadic import DyadicInterval
+from .elim import drop_var_content, var_content
 from .errors import (Ambiguous, DegreeBoundExceeded, NotDivisible,
                      NotIrreducible, UnluckySpecializations, ZeroInput)
 from .gfp import (gf_ext_gcd, gf_factor_squarefree, gf_from_int_poly,
@@ -34,7 +37,7 @@ from .gfp import gf_divmod as _mdivmod
 from .gfp import gf_sub as _msub
 from .multipoly import MultiPoly, _extend
 from .poly import Poly, poly_Z
-from .quadratic import SQRT3, QuadInt, QuadRat
+from .quadratic import QuadInt, QuadRat
 from .rings import QQ, QS3, ZS3, ZZ, field_of, integral_of
 
 
@@ -45,10 +48,7 @@ class FactorizationResult:
     factors: tuple                  # ((Poly-or-MultiPoly, multiplicity), ...)
 
     def expand(self):
-        acc = None
-        for f, m in self.factors:
-            part = f ** m
-            acc = part if acc is None else acc * part
+        acc = _product(self.factors)
         if acc is None:
             raise ZeroInput("empty factorization has no canonical expansion")
         return acc * self.content
@@ -60,6 +60,19 @@ class FactorizationResult:
             return original == MultiPoly.constant(original.ring, original.vars,
                                                   self.content)
         return self.expand() == original
+
+
+def _product(factors):
+    """prod(f**m for f, m in factors), or None when there are none."""
+    prod = None
+    for f, m in factors:
+        part = f ** m
+        prod = part if prod is None else prod * part
+    return prod
+
+
+def _coeff_key(c):
+    return (c.a, c.b) if isinstance(c, QuadInt) else (c,)
 
 
 @dataclass(frozen=True)
@@ -74,15 +87,12 @@ class IrreducibilityCertificate:
 # factorization over Z
 # ---------------------------------------------------------------------------
 
+def _is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
 def _odd_primes():
-    n = 3
-    while True:
-        for d in range(3, isqrt(n) + 1, 2):
-            if n % d == 0:
-                break
-        else:
-            yield n
-        n += 2
+    return filter(_is_prime, itertools.count(3, 2))
 
 
 def _sym(c, m):
@@ -225,7 +235,13 @@ def _zassenhaus(f):
 def factor_z(p):
     """Complete factorization over Z into primitive irreducible factors with
     positive leading coefficients, sorted by (degree, coefficients)."""
-    p = p.map_ring(ZZ)
+    return _factor_univariate(
+        p.map_ring(ZZ), lambda part: _zassenhaus(part.clear_denominators()))
+
+
+def _factor_univariate(p, split):
+    """Factorization of p over its (integral) ring; `split` maps a monic
+    squarefree part of positive degree to its irreducible factors."""
     if p.is_zero():
         raise ZeroInput("cannot factor the zero polynomial")
     if p.degree == 0:
@@ -237,31 +253,20 @@ def factor_z(p):
         coeffs.pop(0)
         shift += 1
     if shift:
-        factors.append((Poly(ZZ, [0, 1], p.var), shift))
-    core = Poly(ZZ, coeffs, p.var)
+        factors.append((Poly(p.ring, [0, 1], p.var), shift))
+    core = Poly(p.ring, coeffs, p.var)
     if core.degree >= 1:
         for part, mult in core.squarefree_decomposition():
-            zpart = part.clear_denominators()
-            for irr in _zassenhaus(zpart):
-                factors.append((irr, mult))
-    factors.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
-    result = FactorizationResult(_scalar_quotient(p, factors), tuple(factors))
+            factors.extend((irr, mult) for irr in split(part))
+    factors.sort(key=lambda fm: (fm[0].degree,
+                                 tuple(map(_coeff_key, fm[0].coeffs))))
+    q = p.exact_div(_product(factors))
+    if q.degree != 0:
+        raise ArithmeticError("content quotient is not a scalar")
+    result = FactorizationResult(q.coeff(0), tuple(factors))
     if not result.verify(p):
         raise ArithmeticError("factorization failed to reassemble")
     return result
-
-
-def _scalar_quotient(p, factors):
-    prod = None
-    for f, m in factors:
-        part = f ** m
-        prod = part if prod is None else prod * part
-    if prod is None:
-        return p.coeff(0)
-    q = p.exact_div(prod)
-    if q.degree != 0:
-        raise ArithmeticError("content quotient is not a scalar")
-    return q.coeff(0)
 
 
 def irreducibility_certificate(p, prime_budget=8):
@@ -301,30 +306,7 @@ def factor_zsqrt3(p):
 
     Factors are primitive with canonical leading unit; the content is the
     exact scalar quotient (a QuadInt, not necessarily +-1)."""
-    p = p.map_ring(ZS3)
-    if p.is_zero():
-        raise ZeroInput("cannot factor the zero polynomial")
-    if p.degree == 0:
-        return FactorizationResult(p.coeff(0), ())
-    factors = []
-    coeffs = list(p.coeffs)
-    shift = 0
-    while not coeffs[0]:
-        coeffs.pop(0)
-        shift += 1
-    if shift:
-        factors.append((Poly(ZS3, [0, 1], p.var), shift))
-    core = Poly(ZS3, coeffs, p.var)
-    if core.degree >= 1:
-        for part, mult in core.squarefree_decomposition():
-            for irr in _norm_factor(part):
-                factors.append((irr, mult))
-    factors.sort(key=lambda fm: (fm[0].degree,
-                                 tuple((c.a, c.b) for c in fm[0].coeffs)))
-    result = FactorizationResult(_scalar_quotient(p, factors), tuple(factors))
-    if not result.verify(p):
-        raise ArithmeticError("factorization failed to reassemble")
-    return result
+    return _factor_univariate(p.map_ring(ZS3), _norm_factor)
 
 
 def _norm_factor(f):
@@ -372,10 +354,9 @@ def factor_bivariate(F, var, param, max_tries=12):
     if work.is_zero():
         raise ZeroInput("cannot factor the zero polynomial")
     factors = []
-    cont = _var_content(work, var, param)
+    cont = var_content(work, var, param)
     if cont.degree >= 1:
-        work = work.exact_div(MultiPoly.from_poly(cont.with_var(param),
-                                                  work.vars))
+        work = work.exact_div(MultiPoly.from_poly(cont, work.vars))
         uni = factor_z(cont) if ring is ZZ else factor_zsqrt3(cont)
         for g, m in uni.factors:
             factors.append((MultiPoly.from_poly(g.with_var(param), work.vars), m))
@@ -385,10 +366,7 @@ def factor_bivariate(F, var, param, max_tries=12):
     elif not work.is_constant():
         raise ValueError("no occurrence of %r after content removal" % var)
     factors.sort(key=_mp_sort_key)
-    prod = None
-    for g, m in factors:
-        part = g ** m
-        prod = part if prod is None else prod * part
+    prod = _product(factors)
     original = _extend(F, work.vars).map_ring(ring) if F.ring is ring else work
     content_mp = original.exact_div(prod) if prod is not None else original
     if not content_mp.is_constant():
@@ -399,9 +377,8 @@ def factor_bivariate(F, var, param, max_tries=12):
 
 def _mp_sort_key(fm):
     g, _ = fm
-    def ckey(c):
-        return (c.a, c.b) if isinstance(c, QuadInt) else (c,)
-    return (g.total_degree(), sorted((e, ckey(c)) for e, c in g.terms.items()))
+    return (g.total_degree(),
+            sorted((e, _coeff_key(c)) for e, c in g.terms.items()))
 
 
 def _two_vars(F, var, param):
@@ -410,18 +387,6 @@ def _two_vars(F, var, param):
     if extra:
         raise ValueError("unexpected variables %r" % extra)
     return (var, param)
-
-
-def _var_content(F, var, param):
-    cont = None
-    for c in F.coefficients_in(var):
-        cp = c.to_poly(param) if c else Poly(F.ring, [], param)
-        if cp.is_zero():
-            continue
-        cont = cp if cont is None else cont.gcd(cp)
-        if cont.degree == 0:
-            break
-    return cont.primitive_part()
 
 
 def _bifactor_core(F, var, param, max_tries):
@@ -479,12 +444,8 @@ def _bifactor_core(F, var, param, max_tries):
             # leading coefficient substitution drags in (integer content
             # and polynomial content in the parameter)
             raw = g_series.substitute(var, Lf * v_mp)
-            fac = _extend(raw, vars2).clear_denominators()
-            pc = _var_content(fac, var, param)
-            if pc.degree >= 1:
-                fac = fac.exact_div(MultiPoly.from_poly(pc.with_var(param),
-                                                        fac.vars))
-                fac = fac.primitive_part()
+            fac = drop_var_content(_extend(raw, vars2).clear_denominators(),
+                                   var)
             try:
                 cof = _extend(F, vars2).exact_div(fac)
             except NotDivisible:
@@ -580,47 +541,40 @@ def _poly_ext_gcd(a, b):
 # reconstruction and selection
 # ---------------------------------------------------------------------------
 
-def minpoly_reconstruct(sample, degree_bound, var="x", digits=None,
-                        certify=True):
-    """Candidate minimal polynomial of a real number given by an enclosure.
+def even_reconstruct(square_sample, half_degree, var, digits):
+    """Even irreducible integer polynomial vanishing on the sampled value.
 
-    `sample` is either a DyadicInterval or a callable digits -> DyadicInterval
-    producing enclosures of width below 10**-digits.  The result is the
-    primitive integer polynomial of smallest degree found by integer-relation
-    search whose enclosure straddles zero (re-checked at higher precision when
-    the sample is refinable).  This is a reconstruction, not a proof; callers
-    certify the candidate by exact arithmetic downstream.
-    """
+    square_sample(digits) must return an enclosure of the *square* of the
+    target number with width below 10**-digits.  The relation is searched
+    at the exact half-degree in the square, re-checked on a sharper
+    enclosure, and returned as an even polynomial in `var`, certified
+    irreducible.  This is a reconstruction, not a proof that it vanishes;
+    callers prove that by exact arithmetic downstream."""
     from mpmath import mp, pslq
 
-    if digits is None:
-        digits = max(80, 30 * (degree_bound + 1))
-    iv = sample(digits) if callable(sample) else sample
+    iv = square_sample(digits)
     mid = iv.midpoint()
     with mp.workdps(digits + 20):
-        x = mp.mpf(mid.numerator) / mid.denominator
+        u = mp.mpf(mid.numerator) / mid.denominator
         powers = [mp.one]
-        for _ in range(degree_bound):
-            powers.append(powers[-1] * x)
-        for d in range(1, degree_bound + 1):
-            rel = pslq(powers[:d + 1], maxcoeff=10 ** digits, maxsteps=20000)
-            if rel is None:
-                continue
-            cand = poly_Z(rel, var).primitive_part()
-            if cand.degree < 1:
-                continue
-            if not cand.eval_interval(iv).contains_zero():
-                continue
-            if callable(sample):
-                sharper = sample(digits + digits // 2)
-                if not cand.eval_interval(sharper).contains_zero():
-                    continue
-            if certify:
-                irreducibility_certificate(cand)
-            return cand
-    raise DegreeBoundExceeded(
-        "no vanishing polynomial of degree <= %d at %d digits"
-        % (degree_bound, digits))
+        for _ in range(half_degree):
+            powers.append(powers[-1] * u)
+        rel = pslq(powers, maxcoeff=10 ** (digits // 3), maxsteps=1000000)
+    if rel is None:
+        raise DegreeBoundExceeded(
+            "no degree-%d relation for the squared sample at %d digits"
+            % (half_degree, digits))
+    dense = []
+    for c in rel:
+        dense.extend((c, 0))
+    cand = poly_Z(dense[:-1], var).primitive_part()
+    half = cand.even_decompose()
+    sharper = square_sample(digits + digits // 2)
+    if not half.eval_interval(sharper).contains_zero():
+        raise DegreeBoundExceeded(
+            "candidate fails the sharper enclosure recheck")
+    irreducibility_certificate(cand)
+    return cand
 
 
 def select_factor(factors, witness, refine=None, max_prec=1 << 14):

@@ -250,10 +250,6 @@ def minpoly(key):
     return Poly(ZZ, dense[:-1], key if key == "T" else key)
 
 
-def minpoly_coeffs(key):
-    return tuple(_EVEN22[key])
-
-
 def numeric_fraction(point, axis):
     """15-digit reference coordinate as an exact Fraction."""
     return Fraction(NUMERICS[point][0 if axis == "x" else 1])

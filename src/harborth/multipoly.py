@@ -7,14 +7,11 @@ earlier variables as greater.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
-
 from .dyadic import DyadicInterval
 from .errors import NotDivisible
-from .poly import Poly, _natural_ring
-from .quadratic import QuadInt, QuadRat
-from .rings import field_of, has_sqrt3, join
+from .poly import Poly, _coeff_interval, _natural_ring
+from .rings import (common_denominator, content_of, field_of, has_sqrt3,
+                    integral_of, join)
 
 
 class MultiPoly:
@@ -129,7 +126,7 @@ class MultiPoly:
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self.__add__(_neg_any(other))
+        return self.__add__(-other)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -239,7 +236,7 @@ class MultiPoly:
         sqrt3 = DyadicInterval.from_int(3, prec).sqrt() if has_sqrt3(self.ring) else None
         total = DyadicInterval.from_int(0, prec)
         for e, c in self.sorted_terms():
-            term = _coeff_iv(c, prec, sqrt3)
+            term = _coeff_interval(c, prec, sqrt3)
             for v, k in zip(self.vars, e):
                 if k:
                     iv = assignment[v]
@@ -251,17 +248,7 @@ class MultiPoly:
     # -- ring-style operations -------------------------------------------
 
     def content(self):
-        g = 0
-        for c in self.terms.values():
-            if isinstance(c, int):
-                g = gcd(g, c)
-            elif isinstance(c, QuadInt):
-                g = gcd(g, gcd(c.a, c.b))
-            else:
-                raise TypeError("content over Z / Z[sqrt3] only")
-            if g == 1:
-                return 1
-        return g
+        return content_of(self.terms.values())
 
     def primitive_part(self):
         c = self.content()
@@ -319,12 +306,8 @@ class MultiPoly:
         return self.map_ring(field_of(self.ring))
 
     def clear_denominators(self):
-        from .rings import denominator_of, integral_of
         ring = integral_of(self.ring)
-        den = 1
-        for c in self.terms.values():
-            d = denominator_of(c)
-            den = den * d // gcd(den, d)
+        den = common_denominator(self.terms.values())
         scaled = MultiPoly(ring, self.vars,
                            {e: c * den for e, c in self.terms.items()})
         return scaled.primitive_part()
@@ -349,21 +332,3 @@ def _extend(p, vars):
             full[j] = x
         terms[tuple(full)] = c
     return MultiPoly(p.ring, vars, terms)
-
-
-def _neg_any(x):
-    if isinstance(x, (MultiPoly, Poly)):
-        return -x
-    return -x
-
-
-def _coeff_iv(c, prec, sqrt3):
-    if isinstance(c, int):
-        return DyadicInterval.from_int(c, prec)
-    if isinstance(c, Fraction):
-        return DyadicInterval.from_fraction(c, prec)
-    if isinstance(c, QuadInt):
-        return DyadicInterval.from_int(c.a, prec) + sqrt3 * c.b
-    if isinstance(c, QuadRat):
-        return (DyadicInterval.from_int(c.num.a, prec) + sqrt3 * c.num.b) / c.den
-    raise TypeError("cannot evaluate coefficient %r" % (c,))

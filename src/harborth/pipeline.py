@@ -23,20 +23,19 @@ from __future__ import annotations
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
 from . import golden
 from .dyadic import DEFAULT_PREC
 from .elim import groebner, resultant, squarefree_part
-from .errors import (Ambiguous, DegreeBoundExceeded, NotDivisible,
-                     StageDependencyMissing)
-from .factor import (factor_bivariate, factor_z, irreducibility_certificate,
+from .errors import Ambiguous, NotDivisible, StageDependencyMissing
+from .factor import (even_reconstruct, factor_bivariate, factor_z,
                      select_factor)
 from .geometry import build_config, extremal, frame_transform, solve_T
 from .multipoly import MultiPoly, _extend
-from .poly import Poly, poly_Z
+from .poly import Poly
 from .quadratic import QuadInt
 from .realroots import signature
 from .rings import ZS3, ZZ, join
@@ -62,6 +61,11 @@ STAGE_OUTPUTS = {
     6: ("y_D", "y_E", "y_F", "y_G", "y_H", "y_J"),
     7: ("x_A", "x_B", "x_C", "x_D", "x_E", "x_F", "x_G"),
 }
+
+# the reconstructed minimal polynomials are even of degree 22: PSLQ looks
+# for a relation of degree 11 in the square, on a 330-digit enclosure
+HALF_DEGREE = 11
+PSLQ_DIGITS = 330
 
 
 @dataclass(frozen=True)
@@ -496,8 +500,6 @@ class Pipeline:
 
         for P, rsq in (("H", 4), ("J", 1)):
             xv, yv = "X_%s" % P, "Y_%s" % P
-            anchor = {"H": ("X_%s" % P, "Y_%s" % P, "s"),
-                      "J": None}
             if P == "H":
                 # |DP| = 2: centered on D = (2s, 0)
                 circ_a = _quarter((xv, yv, "s"),
@@ -574,10 +576,9 @@ class Pipeline:
 
         # reconstruct the degree-22 parameter polynomial from a certified
         # enclosure of the solved height (it is even, so search in T^2)
-        digits = 330
-        cand = self._even_reconstruct(
-            lambda d: solve_T(Fraction(1, 10 ** d)).square(), "T", digits)
-        irreducibility_certificate(cand)
+        cand = even_reconstruct(
+            lambda d: solve_T(Fraction(1, 10 ** d)).square(), HALF_DEGREE,
+            "T", PSLQ_DIGITS)
         self.accounting = _eliminant_accounting(elim, cand)
         recs.append(DerivationRecord(
             5, "degree-156 eliminant", "resultant",
@@ -589,48 +590,19 @@ class Pipeline:
             % self.accounting["cofactor_degree"]))
         return recs
 
-    def _even_reconstruct(self, square_sample, var, digits):
-        """Even degree-22 integer polynomial vanishing on the sampled value.
-
-        square_sample(digits) must return an enclosure of the *square* of
-        the target number with width below 10**-digits.  The relation is
-        searched at the exact half-degree 11 in the square, re-checked on a
-        sharper enclosure, and returned as an even polynomial in `var`."""
-        from mpmath import mp, pslq
-
-        iv = square_sample(digits)
-        mid = iv.midpoint()
-        with mp.workdps(digits + 20):
-            u = mp.mpf(mid.numerator) / mid.denominator
-            powers = [mp.one]
-            for _ in range(11):
-                powers.append(powers[-1] * u)
-            rel = pslq(powers, maxcoeff=10 ** (digits // 3),
-                       maxsteps=1000000)
-        if rel is None:
-            raise DegreeBoundExceeded(
-                "no degree-11 relation for the squared sample at %d digits"
-                % digits)
-        dense = []
-        for c in rel:
-            dense.extend((c, 0))
-        cand = poly_Z(dense[:-1], var).primitive_part()
-        half = cand.even_decompose()
-        sharper = square_sample(digits + digits // 2)
-        if not half.eval_interval(sharper).contains_zero():
-            raise DegreeBoundExceeded(
-                "candidate fails the sharper enclosure recheck")
-        return cand
-
     # -- stages 6 and 7: coordinate minimal polynomials ------------------------------------
 
     def _minpoly_by_elimination(self, stage, key, relation, inputs,
                                 frame, point, axis):
-        """Resultant against the parameter polynomial, then factor-select."""
+        """Resultant against a derived minimal polynomial, then
+        factor-select.  `inputs` names the relation and the minimal
+        polynomial it eliminates; the relation's first variable is the
+        coordinate `key`."""
+        over = inputs[1]
         var = relation.vars[0]
         r = resultant(relation,
-                      MultiPoly.from_poly(self.results["T"].with_var("T")),
-                      "T")
+                      MultiPoly.from_poly(self.results[over].with_var(over)),
+                      over)
         parent = r.drop_vars().to_poly(var).primitive_part()
         factors = [f for f, _ in factor_z(parent).factors if f.degree > 0]
 
@@ -642,15 +614,14 @@ class Pipeline:
             stage, key, "resultant+factor-select", inputs, chosen,
             note="parent degree %d" % parent.degree)
 
-    def _minpoly_by_reconstruction(self, stage, key, frame, point, axis,
-                                   digits=330):
+    def _minpoly_by_reconstruction(self, stage, key, frame, point, axis):
         def square_sample(d):
             return self._coordinate_interval(frame, point, axis, d).square()
-        cand = self._even_reconstruct(square_sample, key, digits)
-        irreducibility_certificate(cand)
+        cand = even_reconstruct(square_sample, HALF_DEGREE, key, PSLQ_DIGITS)
         return self._record_minpoly(
             stage, key, "pslq+irreducibility", ("construction enclosure",),
-            cand, note="witness straddle at %d digits" % (digits + digits // 2))
+            cand, note="witness straddle at %d digits"
+            % (PSLQ_DIGITS + PSLQ_DIGITS // 2))
 
     def _stage6(self):
         recs = [
@@ -675,8 +646,7 @@ class Pipeline:
         # unit circles around F and around the mirror image of F, which
         # eliminates to 4U^2 - 4U*x_F + 4x_F^2 - 3 linking U = x_G to x_F
         # (both in the center frame); certified exactly in the tower
-        link = golden.intermediate("U~x_F")
-        tw, coords = build_coordinates(golden.minpoly("T"))
+        _, coords = build_coordinates(golden.minpoly("T"))
         kcoords = to_center_frame(coords)
         residual = (kcoords["G"][0] ** 2 * 4
                     - kcoords["G"][0] * kcoords["F"][0] * 4
@@ -685,19 +655,11 @@ class Pipeline:
         if zt.verdict != "proved-zero":
             raise Ambiguous("transformation polynomial fails the exact "
                             "zero test: %s" % zt.detail)
-        xF = self.results["x_F"].with_var("x_F")
-        r = resultant(link, MultiPoly.from_poly(xF), "x_F")
-        parent = r.drop_vars().to_poly("U").primitive_part()
-        factors = [f for f, _ in factor_z(parent).factors if f.degree > 0]
-
-        def witness(prec):
-            return self._coordinate_interval("K", "G", "x",
-                                             max(30, prec // 3))
-        chosen = select_factor(factors, witness(256), refine=witness)
-        recs.append(self._record_minpoly(
-            7, "x_G", "resultant+factor-select", ("U~x_F", "x_F"), chosen,
-            note="link certified by tower zero test; parent degree %d"
-            % parent.degree))
+        rec = self._minpoly_by_elimination(
+            7, "x_G", golden.intermediate("U~x_F"), ("U~x_F", "x_F"),
+            "K", "G", "x")
+        recs.append(replace(
+            rec, note="link certified by tower zero test; " + rec.note))
         return recs
 
     # -- certification ---------------------------------------------------------------------
@@ -750,20 +712,21 @@ class Pipeline:
             p = self.results[key]
             sig = signature(p)
             half = p.even_decompose()
-            half_sig = signature(half)
+            # the criterion counts the real roots of the half polynomial
             verdict = radicals_criterion(half)
+            half_sig = [verdict.real_roots,
+                        (verdict.degree - verdict.real_roots) // 2]
             entry = {
                 "degree": p.degree,
                 "signature": [sig.real_roots, sig.complex_pairs],
                 "even": p.is_even(),
                 "half_degree": half.degree,
-                "half_signature": [half_sig.real_roots,
-                                   half_sig.complex_pairs],
+                "half_signature": half_sig,
                 "radicals": verdict.verdict,
                 "radicals_reason": verdict.reason,
             }
             ok = ok and sig.real_roots == 6 and sig.complex_pairs == 8
-            ok = ok and half_sig.real_roots == 3 and half_sig.complex_pairs == 4
+            ok = ok and half_sig == [3, 4]
             ok = ok and verdict.verdict == "not-solvable"
             spectra[key] = entry
         payload["spectra"] = spectra
@@ -773,7 +736,7 @@ class Pipeline:
             "compass and ruler, and its minimal polynomial is not solvable "
             "by radicals")
 
-        tw, coords = build_coordinates(self.results["T"])
+        _, coords = build_coordinates(self.results["T"])
         constraints = defining_constraints(to_center_frame(coords))
         unit = {}
         for label, residual in constraints:

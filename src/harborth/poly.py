@@ -8,13 +8,12 @@ immutable; arithmetic returns new polynomials.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 from .dyadic import DyadicInterval
 from .errors import NotDivisible, NotEven
 from .quadratic import QuadInt, QuadRat
-from .rings import (QQ, QS3, ZS3, ZZ, denominator_of, field_of, has_sqrt3,
-                    integral_of, join, ring_by_name)
+from .rings import (QQ, QS3, ZS3, ZZ, common_denominator, content_of,
+                    field_of, has_sqrt3, integral_of, join, ring_by_name)
 
 
 class Poly:
@@ -147,12 +146,6 @@ class Poly:
             n >>= 1
         return result
 
-    def shift_up(self, k):
-        """Multiply by x**k."""
-        if self.is_zero():
-            return self
-        return Poly(self.ring, [self.ring.zero] * k + list(self.coeffs), self.var)
-
     def divmod(self, other):
         """Quotient and remainder over a field."""
         ring = field_of(join(self.ring, other.ring))
@@ -212,19 +205,7 @@ class Poly:
 
     def content(self):
         """Integer content (a positive int; 0 for the zero polynomial)."""
-        if self.is_zero():
-            return 0
-        g = 0
-        for c in self.coeffs:
-            if isinstance(c, int):
-                g = gcd(g, c)
-            elif isinstance(c, QuadInt):
-                g = gcd(g, gcd(c.a, c.b))
-            else:
-                raise TypeError("content is defined over Z and Z[sqrt3]")
-            if g == 1:
-                break
-        return g
+        return content_of(self.coeffs)
 
     def primitive(self):
         """(content, primitive part) with canonical leading unit."""
@@ -254,10 +235,7 @@ class Poly:
         ring = integral_of(self.ring)
         if self.ring is ring:
             return self.primitive_part()
-        den = 1
-        for c in self.coeffs:
-            d = denominator_of(c)
-            den = den * d // gcd(den, d)
+        den = common_denominator(self.coeffs)
         scaled = Poly(ring, [c * den for c in self.coeffs], self.var)
         return scaled.primitive_part()
 

@@ -109,9 +109,6 @@ class QuadInt:
             raise ValueError("%r not divisible by %r" % (self, other))
         return QuadInt(num.a // n, num.b // n)
 
-    def is_unit(self):
-        return abs(self.norm()) == 1
-
 
 def _coerce(x):
     if isinstance(x, QuadInt):
@@ -145,15 +142,6 @@ class QuadRat:
             den //= g
         self.num = num
         self.den = den
-
-    @staticmethod
-    def from_parts(a, b=0):
-        """Build (a + b*sqrt(3)) from Fractions or ints a, b."""
-        a = Fraction(a)
-        b = Fraction(b)
-        den = a.denominator * b.denominator // gcd(a.denominator, b.denominator)
-        return QuadRat(QuadInt(a.numerator * (den // a.denominator),
-                               b.numerator * (den // b.denominator)), den)
 
     @property
     def a(self):

@@ -9,11 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .errors import EndpointRoot, NotSquarefree, ZeroInput
 from .poly import Poly
-from .rings import ZZ
+from .rings import ZZ, common_denominator
 
 
 @dataclass(frozen=True)
@@ -53,9 +52,7 @@ def sturm_chain(p):
         rem = chain[-2].to_field() % chain[-1].to_field()
         if rem.is_zero():
             break
-        den = 1
-        for c in rem.coeffs:
-            den = den * c.denominator // gcd(den, c.denominator)
+        den = common_denominator(rem.coeffs)
         rem = Poly(ZZ, [-(c * den) for c in rem.coeffs], p.var)
         chain.append(_positive_primitive(rem))
     return chain

@@ -8,7 +8,7 @@ the descriptor supplies coercion, exact division and normalization.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import NotDivisible
 from .quadratic import QuadInt, QuadRat
@@ -43,9 +43,6 @@ class _IntegerRing(Ring):
         if r:
             raise NotDivisible("%r / %r in Z" % (x, y))
         return q
-
-    def content_gcd(self, x, y):
-        return gcd(x, y)
 
     def unit_normal(self, lc):
         """Unit making `lc * unit` canonical (positive)."""
@@ -102,11 +99,6 @@ class _QuadIntRing(Ring):
             return x.divexact(y)
         except ValueError as exc:
             raise NotDivisible(str(exc)) from exc
-
-    def content_gcd(self, x, y):
-        # integer content: gcd over Z of all rational and sqrt(3) parts
-        return gcd(gcd(x.a, x.b), gcd(y.a, y.b)) if isinstance(y, QuadInt) \
-            else gcd(gcd(x.a, x.b), y)
 
     def unit_normal(self, lc):
         # canonical: nonnegative rational part; positive sqrt(3) part on ties
@@ -182,6 +174,27 @@ def denominator_of(x):
     if isinstance(x, QuadRat):
         return x.den
     return 1
+
+
+def common_denominator(coeffs):
+    """Least common multiple of the coefficient denominators."""
+    return lcm(1, *map(denominator_of, coeffs))
+
+
+def content_of(coeffs):
+    """Integer content of Z or Z[sqrt(3)] coefficients: the positive gcd of
+    all their rational and sqrt(3) parts (0 when there are none)."""
+    g = 0
+    for c in coeffs:
+        if isinstance(c, int):
+            g = gcd(g, c)
+        elif isinstance(c, QuadInt):
+            g = gcd(g, c.a, c.b)
+        else:
+            raise TypeError("content is defined over Z and Z[sqrt3]")
+        if g == 1:
+            break
+    return g
 
 
 def generic_exact_div(x, y):

@@ -91,10 +91,3 @@ def render_svg(frame="K", digits=6, precision=DEFAULT_PREC):
     lines.append('</g>')
     lines.append('</svg>')
     return "\n".join(lines) + "\n"
-
-
-def write_svg(path, frame="K", digits=6, precision=DEFAULT_PREC):
-    data = render_svg(frame, digits, precision)
-    with open(path, "w") as fh:
-        fh.write(data)
-    return path

@@ -35,7 +35,7 @@ from .dyadic import DEFAULT_PREC, DyadicInterval
 from .factor import _poly_ext_gcd
 from .poly import Poly
 from .realroots import refine, sturm_chain
-from .rings import QQ, ZZ
+from .rings import QQ, ZZ, common_denominator
 
 
 @dataclass(frozen=True)
@@ -141,9 +141,7 @@ class Tower:
     def _residue(self, p):
         """Canonical residue of a Q-polynomial in T."""
         p = p.map_ring(QQ) % self.modulus
-        den = 1
-        for c in p.coeffs:
-            den = den * c.denominator // gcd(den, c.denominator)
+        den = common_denominator(p.coeffs)
         return _canon([int(c * den) for c in p.coeffs], den)
 
     def _poly(self, res):

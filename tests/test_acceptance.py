@@ -9,6 +9,7 @@ certification, randomized property suites against independent oracles,
 and byte-level determinism of the reports and the figure.
 """
 
+import hashlib
 import random
 import shutil
 import time
@@ -261,6 +262,10 @@ class TestDeterminism:
     def test_report_bytes(self, pipeline, report):
         again = Pipeline(cache_dir=pipeline.cache_dir).certify()
         assert again.canonical_bytes() == report.canonical_bytes()
+
+    def test_report_sha256(self, report):
+        assert hashlib.sha256(report.canonical_bytes()).hexdigest() == (
+            "d382b72d2b0e889ca249113000c801f9f1552e222327b62fbe03b352246d708e")
 
     def test_svg_bytes(self):
         assert render_svg("K", 6) == render_svg("K", 6)

@@ -21,6 +21,15 @@ class TestUsage:
     def test_bad_grid(self, capsys):
         assert main(["explore", "--grid", "1"]) == 2
 
+    @pytest.mark.parametrize("command", [["derive"], ["certify"],
+                                         ["explore", "--grid", "3"]])
+    @pytest.mark.parametrize("digits", ["0", "-5", "5", "abc"])
+    def test_bad_digits(self, capsys, command, digits):
+        with pytest.raises(SystemExit) as err:
+            main(command + ["--digits", digits])
+        assert err.value.code == 2
+        assert "--digits" in capsys.readouterr().err
+
 
 class TestExplore:
     def test_grid_three(self, capsys):
@@ -67,6 +76,14 @@ class TestRoots:
         path.write_text(json.dumps(blob))
         assert main(["roots", str(path)]) == 2
         assert "cannot read polynomial" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("coeffs", [["5"], []])
+    def test_constant(self, tmp_path, capsys, coeffs):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"var": "x", "ring": "Z",
+                                    "coeffs": coeffs}))
+        assert main(["roots", str(path)]) == 2
+        assert "degree at least 1" in capsys.readouterr().err
 
     def test_wrong_ring(self, tmp_path, capsys):
         path = tmp_path / "s3.json"

@@ -7,12 +7,12 @@ import pytest
 from harborth.dyadic import DyadicInterval
 from harborth.errors import (Ambiguous, DegreeBoundExceeded, NotIrreducible,
                              ZeroInput)
-from harborth.factor import (FactorizationResult, factor_bivariate, factor_z,
+from harborth.factor import (even_reconstruct, factor_bivariate, factor_z,
                              factor_zsqrt3, irreducibility_certificate,
-                             minpoly_reconstruct, select_factor)
+                             select_factor)
 from harborth.multipoly import MultiPoly
-from harborth.poly import Poly, poly_Z, poly_ZS3
-from harborth.quadratic import SQRT3, QuadInt
+from harborth.poly import poly_Z, poly_ZS3
+from harborth.quadratic import QuadInt
 from harborth.rings import ZS3, ZZ
 
 # an upstream table entry used as a realistic heavy input (degree 22)
@@ -197,36 +197,32 @@ class TestFactorBivariate:
 
 
 class TestReconstruct:
+    """even_reconstruct takes enclosures of the square of the number."""
+
     @staticmethod
-    def _sample_sum_of_roots(digits):
+    def _square_sum_of_roots(digits):
         prec = int(digits * 3.4) + 64
         return (DyadicInterval.from_int(2, prec).sqrt()
-                + DyadicInterval.from_int(3, prec).sqrt())
+                + DyadicInterval.from_int(3, prec).sqrt()).square()
 
     def test_sum_of_square_roots(self):
-        p = minpoly_reconstruct(self._sample_sum_of_roots, 6, var="x")
+        p = even_reconstruct(self._square_sum_of_roots, 2, "x", 80)
         assert p == poly_Z([1, 0, -10, 0, 1])
 
     def test_nested_radical(self):
         # (1/4)*sqrt(7 - 3*sqrt(5)) has minimal polynomial 64x^4 - 56x^2 + 1
-        def sample(digits):
+        def square_sample(digits):
             prec = int(digits * 3.4) + 64
             inner = (DyadicInterval.from_int(7, prec)
                      - DyadicInterval.from_int(5, prec).sqrt() * 3)
-            return inner.sqrt() / 4
-        p = minpoly_reconstruct(sample, 8, var="x")
+            return (inner.sqrt() / 4).square()
+        p = even_reconstruct(square_sample, 2, "x", 80)
         assert p == poly_Z([1, 0, -56, 0, 64])
 
-    def test_rational_point(self):
-        def sample(digits):
-            prec = int(digits * 3.4) + 64
-            return DyadicInterval.from_fraction(Fraction(3, 7), prec)
-        p = minpoly_reconstruct(sample, 4, var="x")
-        assert p == poly_Z([-3, 7])
-
     def test_degree_bound_exceeded(self):
+        # the square 5 + 2*sqrt(6) has degree 2, so no half-degree-1 relation
         with pytest.raises(DegreeBoundExceeded):
-            minpoly_reconstruct(self._sample_sum_of_roots, 3, var="x")
+            even_reconstruct(self._square_sum_of_roots, 1, "x", 80)
 
 
 class TestSelectFactor:
