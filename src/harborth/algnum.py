@@ -183,11 +183,11 @@ def _compose_mp(q, inner):
     return acc
 
 
-def _select_root(vanishing, witness, start_digits=60):
+def _select_root(vanishing, witness):
     """AlgebraicNumber for the root of some irreducible factor of
     `vanishing` enclosed by the witness callback (precision in bits)."""
     factors = [f for f, _ in factor_z(vanishing.primitive_part()).factors]
-    prec = 4 * start_digits
+    prec = 240
     f = select_factor(factors, witness(prec), refine=witness)
     # find the isolating interval of f containing the witness enclosure
     iv = witness(prec)

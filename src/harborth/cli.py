@@ -79,9 +79,6 @@ def _parser():
     d = sub.add_parser("derive", help="run the derivation pipeline")
     d.add_argument("--stage", type=int, choices=range(1, 8),
                    help="run a single stage (default: all seven)")
-    d.add_argument("--digits", type=_digits, default=None,
-                   help="working precision in decimal digits (at least %d)"
-                   % MIN_DIGITS)
     d.add_argument("--out", help="write the derived polynomials as JSON")
     d.add_argument("--cache", default=".harborth-cache",
                    help="stage cache directory")
@@ -112,9 +109,8 @@ def _parser():
     return top
 
 
-def _cmd_derive(args, digits):
-    pipe = Pipeline(cache_dir=args.cache, precision=_bits(digits),
-                    verbose=True)
+def _cmd_derive(args):
+    pipe = Pipeline(cache_dir=args.cache, verbose=True)
     use_cache = not args.no_cache
     if args.stage:
         records = pipe.run_stage(args.stage, use_cache=use_cache)
@@ -203,7 +199,7 @@ def main(argv=None):
     digits = getattr(args, "digits", None) or _env_digits()
     try:
         if args.command == "derive":
-            return _cmd_derive(args, digits)
+            return _cmd_derive(args)
         if args.command == "certify":
             return _cmd_certify(args, digits)
         if args.command == "roots":

@@ -21,7 +21,7 @@ def _strip(c):
     return c
 
 
-def _prem(a, b, zero):
+def _prem(a, b):
     """Pseudo-remainder of coefficient lists (ascending), generic domain.
 
     Returns lc(b)^(deg a - deg b + 1) * a mod b: the full power is
@@ -62,7 +62,7 @@ def _resultant_lists(a, b, one, zero):
         delta = da - db
         if (da % 2) and (db % 2):
             sign = -sign
-        r = _prem(a, b, zero)
+        r = _prem(a, b)
         if not r:
             return zero  # positive-degree common factor
         divisor = g * _pow(h, delta, one)
@@ -133,7 +133,7 @@ def multipoly_gcd(p, q, var):
     if len(a) < len(b):
         a, b = b, a
     while True:
-        r = _strip(_prem(a, b, None))
+        r = _strip(_prem(a, b))
         if not r:
             break
         rm = MultiPoly.from_coefficients(r, var, p.vars).primitive_part()

@@ -100,11 +100,11 @@ def _sym(c, m):
     return c - m if 2 * c > m else c
 
 
-def _modular_samples(f, want=5, skip=()):
+def _modular_samples(f, want=5):
     """(prime, monic modular factors) for primes where f stays squarefree."""
     out = []
     for p in _odd_primes():
-        if f.lc % p == 0 or p in skip:
+        if f.lc % p == 0:
             continue
         fp = gf_from_int_poly(f.coeffs, p)
         if not gf_is_squarefree(fp, p):
@@ -269,7 +269,7 @@ def _factor_univariate(p, split):
     return result
 
 
-def irreducibility_certificate(p, prime_budget=8):
+def irreducibility_certificate(p):
     """Certificate that p is irreducible over Q, or NotIrreducible.
 
     Two certifying arguments: the subset sums of modular factor degrees
@@ -285,7 +285,7 @@ def irreducibility_certificate(p, prime_budget=8):
         return IrreducibilityCertificate(1, "linear", (), ())
     if p.coeff(0) == 0 or not p.is_squarefree():
         raise NotIrreducible("divisible by its variable or a square")
-    samples = _modular_samples(p, want=prime_budget)
+    samples = _modular_samples(p, want=8)
     primes = tuple(q for q, _ in samples)
     degree_sets = tuple(tuple(len(g) - 1 for g in facs) for _, facs in samples)
     allowed = _degree_mask(samples, n)
@@ -340,7 +340,7 @@ def _norm_factor(f):
 # bivariate factorization
 # ---------------------------------------------------------------------------
 
-def factor_bivariate(F, var, param, max_tries=12):
+def factor_bivariate(F, var, param):
     """Factor a bivariate polynomial over Z or Z[sqrt(3)].
 
     The primitive part must be squarefree.  Content with respect to `var`
@@ -361,7 +361,7 @@ def factor_bivariate(F, var, param, max_tries=12):
         for g, m in uni.factors:
             factors.append((MultiPoly.from_poly(g.with_var(param), work.vars), m))
     if work.degree(var) >= 1:
-        for g in _bifactor_core(work.primitive_part(), var, param, max_tries):
+        for g in _bifactor_core(work.primitive_part(), var, param):
             factors.append((g, 1))
     elif not work.is_constant():
         raise ValueError("no occurrence of %r after content removal" % var)
@@ -389,7 +389,7 @@ def _two_vars(F, var, param):
     return (var, param)
 
 
-def _bifactor_core(F, var, param, max_tries):
+def _bifactor_core(F, var, param):
     """Irreducible factors of a primitive squarefree bivariate polynomial."""
     ring = F.ring
     K = field_of(ring)
@@ -398,7 +398,7 @@ def _bifactor_core(F, var, param, max_tries):
     t0 = None
     tried = 0
     for cand in _specialization_points():
-        if tried >= max_tries:
+        if tried >= 12:
             break
         point = ring.coerce(cand)
         if not lead.eval(point):
@@ -410,7 +410,7 @@ def _bifactor_core(F, var, param, max_tries):
             break
     if t0 is None:
         raise UnluckySpecializations(
-            "no squarefree specialization in %d tries" % max_tries)
+            "no squarefree specialization in 12 tries")
     uni = factor_z(f0) if ring is ZZ else factor_zsqrt3(f0)
     images = [g for g, _ in uni.factors]
     if len(images) == 1:
@@ -450,8 +450,7 @@ def _bifactor_core(F, var, param, max_tries):
                 cof = _extend(F, vars2).exact_div(fac)
             except NotDivisible:
                 continue
-            return [fac] + _bifactor_core(cof.primitive_part(), var, param,
-                                          max_tries)
+            return [fac] + _bifactor_core(cof.primitive_part(), var, param)
     return [F]
 
 
@@ -577,7 +576,7 @@ def even_reconstruct(square_sample, half_degree, var, digits):
     return cand
 
 
-def select_factor(factors, witness, refine=None, max_prec=1 << 14):
+def select_factor(factors, witness, refine=None):
     """The unique factor whose enclosure at the witness straddles zero.
 
     `witness` is a DyadicInterval (univariate factors) or a dict mapping
@@ -590,7 +589,7 @@ def select_factor(factors, witness, refine=None, max_prec=1 << 14):
             return hits[0]
         if not hits:
             raise Ambiguous("no factor vanishes at the witness")
-        if refine is None or prec >= max_prec:
+        if refine is None or prec >= 1 << 14:
             raise Ambiguous("%d factors vanish at precision %d bits"
                             % (len(hits), prec))
         prec *= 2

@@ -125,7 +125,7 @@ def gf_is_squarefree(a, p):
     return len(g) == 1
 
 
-def gf_factor_squarefree(a, p, seed=0):
+def gf_factor_squarefree(a, p):
     """Distinct-degree then equal-degree splitting of a squarefree monic
     polynomial; returns the sorted list of monic irreducible factors."""
     a = gf_monic(a, p)
@@ -139,7 +139,7 @@ def gf_factor_squarefree(a, p, seed=0):
         h = gf_pow_mod(h, p, f, p)
         g = gf_gcd(gf_sub(h, x, p), f, p)
         if len(g) > 1:
-            out.extend(_equal_degree_split(g, d, p, seed))
+            out.extend(_equal_degree_split(g, d, p))
             f, _ = gf_divmod(f, g, p)
             h = gf_rem(h, f, p)
     if len(f) > 1:
@@ -148,11 +148,11 @@ def gf_factor_squarefree(a, p, seed=0):
     return out
 
 
-def _equal_degree_split(f, d, p, seed):
+def _equal_degree_split(f, d, p):
     n = len(f) - 1
     if n == d:
         return [f]
-    rng = random.Random((seed, p, n, d, tuple(f)).__hash__())
+    rng = random.Random((0, p, n, d, tuple(f)).__hash__())
     while True:
         r = [rng.randrange(p) for _ in range(n)] + [1]
         g = gf_gcd(r, f, p)
@@ -164,4 +164,4 @@ def _equal_degree_split(f, d, p, seed):
         if 1 < len(g) < len(f):
             break
     q, _ = gf_divmod(f, g, p)
-    return _equal_degree_split(g, d, p, seed) + _equal_degree_split(q, d, p, seed)
+    return _equal_degree_split(g, d, p) + _equal_degree_split(q, d, p)

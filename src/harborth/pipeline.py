@@ -646,7 +646,7 @@ class Pipeline:
         # unit circles around F and around the mirror image of F, which
         # eliminates to 4U^2 - 4U*x_F + 4x_F^2 - 3 linking U = x_G to x_F
         # (both in the center frame); certified exactly in the tower
-        _, coords = build_coordinates(golden.minpoly("T"))
+        _, coords = build_coordinates(self.results["T"])
         kcoords = to_center_frame(coords)
         residual = (kcoords["G"][0] ** 2 * 4
                     - kcoords["G"][0] * kcoords["F"][0] * 4

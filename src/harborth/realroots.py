@@ -10,9 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .elim import _prem
 from .errors import EndpointRoot, NotSquarefree, ZeroInput
 from .poly import Poly
-from .rings import ZZ, common_denominator
+from .rings import ZZ
 
 
 @dataclass(frozen=True)
@@ -41,7 +42,9 @@ def _positive_primitive(p):
 
 
 def sturm_chain(p):
-    """Sturm chain of an integer polynomial, scaled by positive constants."""
+    """Sturm chain of an integer polynomial, scaled by positive constants:
+    each element is the primitive part of minus the remainder over Q of
+    the two before it, taken from their pseudo-remainder."""
     p = _positive_primitive(p.map_ring(ZZ))
     if p.is_zero():
         raise ZeroInput("Sturm chain of the zero polynomial")
@@ -49,12 +52,13 @@ def sturm_chain(p):
     if p.degree >= 1:
         chain.append(_positive_primitive(p.derivative()))
     while chain[-1].degree >= 1:
-        rem = chain[-2].to_field() % chain[-1].to_field()
-        if rem.is_zero():
+        a, b = chain[-2], chain[-1]
+        rem = _prem(a.coeffs, b.coeffs)
+        if not rem:
             break
-        den = common_denominator(rem.coeffs)
-        rem = Poly(ZZ, [-(c * den) for c in rem.coeffs], p.var)
-        chain.append(_positive_primitive(rem))
+        if b.lc ** (a.degree - b.degree + 1) > 0:   # prem = lc^(d+1) * rem
+            rem = [-c for c in rem]
+        chain.append(_positive_primitive(Poly(ZZ, rem, p.var)))
     return chain
 
 
@@ -179,13 +183,14 @@ def refine(p, interval, width, chain=None):
 
 def signature(p):
     """(real root count, complex-conjugate pair count) of a squarefree
-    integer polynomial."""
+    integer polynomial: one Sturm count over (-B, B], B a root bound."""
     p = p.map_ring(ZZ)
     if p.degree < 1:
         raise ZeroInput("signature of a constant")
-    iso = isolate(p)
-    if iso.poly.degree != p.degree:
-        # isolation works on the squarefree part, which only a repeated
-        # factor makes smaller
+    chain = sturm_chain(p)
+    if chain[-1].degree:
+        # the chain ends in gcd(p, p'), a constant only for squarefree p
         raise NotSquarefree("signature requires a squarefree polynomial")
-    return Signature(p.degree, iso.count, (p.degree - iso.count) // 2)
+    b = root_bound(p)
+    real = sturm_count(p, -b, b, chain)
+    return Signature(p.degree, real, (p.degree - real) // 2)

@@ -1,16 +1,18 @@
 """Exact arithmetic in the radical tower housing the construction coordinates.
 
-The base is Q[T]/(P) for the degree-22 parameter minimal polynomial P;
-on top sit five square roots (sqrt(3), the triangle height, the
-circle-intersection offset, the frame diagonal, and the upper-circle
-radicand).  Elements are stored as dictionaries mapping 0/1 exponent
-vectors over the generators to base residues.
+The base (level -1) is Q[T]/(P) for the degree-22 parameter minimal
+polynomial P; on top sit four square roots g_0 .. g_3 (sqrt(3), the
+triangle height, the circle-intersection offset, and the upper-circle
+radicand) as nested quadratic extensions.  An element of level k is
+a + b*g_k with a, b of lower level and b nonzero: it is stored at the
+level of its highest root, and (a + b g)(c + d g) = (ac + bd g^2) +
+(ad + bc) g with g^2 the lower-level square of g.
 
 A base residue is a pair (nums, den): the integer coefficients of a
 polynomial of degree below n = deg P in the basis 1, T, ..., T^(n-1),
 over one positive integer denominator.  Residues are canonical -- no
-trailing zero coefficient, gcd(content, den) == 1, and zero is never
-stored -- so equality and the formal zero verdicts are exact tuple
+trailing zero coefficient, gcd(content, den) == 1, and zero is the one
+value None -- so equality and the formal zero verdicts are exact tuple
 comparisons.  A product is an integer convolution followed by one pass
 over a table of the integer rows L^(n-1) T^(n+k) mod P (L the leading
 coefficient of the primitive integer P), precomputed per tower, so
@@ -18,11 +20,11 @@ multiplication never builds a Fraction.  Residues become Q-polynomials
 only at the edges: `Tower.base`, `TowerElement.base_poly`, and the
 inverse of a base element.
 
-Zero decisions are exact: an element with no coefficients is zero as a
-formal tower element; otherwise the product with its conjugates descends
-to the base ring, where vanishing modulo the irreducible base modulus
-decides vanishing at the embedded point (the conjugate cofactors are
-interval-checked nonzero for the zero verdict).
+Zero decisions are exact: multiplying by the conjugate (b negated) at
+the top level, level by level, descends to the base ring, where vanishing
+modulo the irreducible base modulus decides vanishing at the embedded
+point (the conjugate cofactors are interval-checked nonzero for the zero
+verdict).
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from math import gcd
 
 from .dyadic import DEFAULT_PREC, DyadicInterval
 from .factor import _poly_ext_gcd
+from .geometry import SOLUTION_BRACKET
 from .poly import Poly
 from .realroots import refine, sturm_chain
 from .rings import QQ, ZZ, common_denominator
@@ -151,28 +154,22 @@ class Tower:
     # -- element constructors ---------------------------------------------
 
     def zero(self):
-        return TowerElement(self, {})
+        return TowerElement(self)
 
     def base(self, p):
         """Element from a rational or a Q-polynomial in T (reduced modulo
         the modulus)."""
         if isinstance(p, Poly):
-            res = self._residue(p)
-        else:
-            p = Fraction(p)
-            res = _canon([p.numerator], p.denominator)
-        if res is None:
-            return self.zero()
-        return TowerElement(self, {(0,) * len(self.names): res})
+            return TowerElement(self, -1, self._residue(p))
+        p = Fraction(p)
+        return TowerElement(self, -1, _canon([p.numerator], p.denominator))
 
     def param(self):
         return self.base(Poly(QQ, [0, 1], self.modulus.var))
 
     def gen(self, name):
-        i = self.names.index(name)
-        exps = [0] * len(self.names)
-        exps[i] = 1
-        return TowerElement(self, {tuple(exps): ((1,), 1)})
+        return TowerElement(self, self.names.index(name), self.zero(),
+                            self.base(1))
 
     def adjoin(self, name, square):
         """Add a generator whose square is the given lower element."""
@@ -192,65 +189,48 @@ class Tower:
         return DyadicInterval.from_endpoints(lo, hi, prec)
 
     def gen_intervals(self, prec=DEFAULT_PREC):
-        cached = self._gen_ivs.get(prec)
-        if cached is not None and len(cached) == len(self.names) + 1:
-            return cached
-        ivs = [self.param_interval(prec)]
-        for sq in self.squares:
-            ivs.append(sq._eval_with(ivs, prec).sqrt())
-        self._gen_ivs[prec] = ivs
+        ivs = self._gen_ivs.get(prec)
+        if ivs is None:
+            ivs = [self.param_interval(prec)]
+            for sq in self.squares:
+                ivs.append(sq._eval_with(ivs, prec).sqrt())
+            self._gen_ivs[prec] = ivs
         return ivs
 
 
 class TowerElement:
-    __slots__ = ("tower", "coeffs")
+    """a + b*g_level with a, b of lower level and b nonzero; at level -1
+    the base residue `a` (None for zero), with b None."""
 
-    def __init__(self, tower, coeffs):
-        """`coeffs` maps exponent tuples to canonical residues or None."""
+    __slots__ = ("tower", "level", "a", "b")
+
+    def __init__(self, tower, level=-1, a=None, b=None):
         self.tower = tower
-        width = len(tower.names)
-        self.coeffs = {tuple(e) + (0,) * (width - len(e)): r
-                       for e, r in coeffs.items() if r is not None}
+        self.level = level
+        self.a = a
+        self.b = b
 
     # -- structure -----------------------------------------------------------
 
-    def _items(self):
-        """Coefficient items with exponent tuples padded to current width."""
-        w = len(self.tower.names)
-        for e, r in self.coeffs.items():
-            yield e + (0,) * (w - len(e)), r
-
     def is_zero_element(self):
         """Formally zero (all coefficients vanish)."""
-        return not self.coeffs
-
-    def top_level(self):
-        """Highest generator index that occurs, or -1 for base elements."""
-        top = -1
-        for e in self.coeffs:
-            for i in range(len(e) - 1, top, -1):
-                if e[i]:
-                    top = max(top, i)
-                    break
-        return top
+        return self.level < 0 and self.a is None
 
     def base_poly(self):
-        if self.top_level() >= 0:
+        if self.level >= 0:
             raise ValueError("element is not in the base ring")
-        for _, r in self._items():
-            return self.tower._poly(r)
-        return Poly(QQ, [], self.tower.modulus.var)
+        if self.a is None:
+            return Poly(QQ, [], self.tower.modulus.var)
+        return self.tower._poly(self.a)
 
     def __eq__(self, other):
         if not isinstance(other, TowerElement):
             return NotImplemented
-        return self.tower is other.tower and \
-            dict(self._items()) == dict(other._items())
+        return (self.tower is other.tower and self.level == other.level
+                and self.a == other.a and self.b == other.b)
 
     def __repr__(self):
-        n = len(self.coeffs)
-        return "TowerElement(%d term%s, top level %d)" % (
-            n, "" if n == 1 else "s", self.top_level())
+        return "TowerElement(level %d)" % self.level
 
     # -- ring operations -----------------------------------------------------
 
@@ -262,17 +242,12 @@ class TowerElement:
         raise TypeError("cannot interpret %r as a tower element" % (other,))
 
     def __add__(self, other):
-        other = self._coerce(other)
-        out = dict(self._items())
-        for e, r in other._items():
-            out[e] = _add(out[e], r) if e in out else r
-        return TowerElement(self.tower, out)
+        return _plus(self, self._coerce(other))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TowerElement(self.tower,
-                            {e: _neg(r) for e, r in self.coeffs.items()})
+        return _negate(self)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -281,29 +256,7 @@ class TowerElement:
         return (-self) + self._coerce(other)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        tower = self.tower
-        mulmod = tower._mulmod
-        acc = {}
-        for e1, r1 in self._items():
-            for e2, r2 in other._items():
-                pending = [(tuple(a + b for a, b in zip(e1, e2)),
-                            mulmod(r1, r2))]
-                while pending:
-                    e, r = pending.pop()
-                    if r is None:
-                        continue
-                    hot = next((i for i, x in enumerate(e) if x >= 2), None)
-                    if hot is None:
-                        prev = acc.get(e)
-                        acc[e] = _add(prev, r) if prev else r
-                        continue
-                    rest = list(e)
-                    rest[hot] -= 2
-                    for se, sr in tower.squares[hot]._items():
-                        ne = tuple(a + b for a, b in zip(rest, se))
-                        pending.append((ne, mulmod(r, sr)))
-        return TowerElement(tower, acc)
+        return _times(self, self._coerce(other))
 
     __rmul__ = __mul__
 
@@ -316,28 +269,26 @@ class TowerElement:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
-    def conj(self, level):
-        """Flip the sign of the generator at the given level."""
-        return TowerElement(self.tower, {e: _neg(r) if e[level] else r
-                                         for e, r in self._items()})
+    def conj(self):
+        """Flip the sign of the top generator."""
+        return TowerElement(self.tower, self.level, self.a, _negate(self.b))
 
     def inverse(self):
-        top = self.top_level()
-        if top < 0:
-            if self.is_zero_element():
+        if self.level < 0:
+            if self.a is None:
                 raise ZeroDivisionError("inverse of the zero element")
             g, _, inv = _poly_ext_gcd(self.tower.modulus, self.base_poly())
             if g.degree != 0:
                 raise ZeroDivisionError(
                     "element shares a factor with the modulus")
             return self.tower.base(inv)
-        c = self.conj(top)
-        norm = self * c
-        return c * norm.inverse()
+        c = self.conj()
+        return c * (self * c).inverse()
 
     def __truediv__(self, other):
         return self * self._coerce(other).inverse()
@@ -348,15 +299,14 @@ class TowerElement:
     # -- interval evaluation ---------------------------------------------------
 
     def _eval_with(self, gen_ivs, prec):
-        t_iv = gen_ivs[0]
-        total = DyadicInterval.from_int(0, prec)
-        for e, (nums, den) in self.coeffs.items():
-            term = Poly(ZZ, nums).eval_interval(t_iv) / den
-            for i, k in enumerate(e):
-                for _ in range(k):
-                    term = term * gen_ivs[1 + i]
-            total = total + term
-        return total
+        if self.level >= 0:
+            g = gen_ivs[1 + self.level]
+            return (self.a._eval_with(gen_ivs, prec)
+                    + self.b._eval_with(gen_ivs, prec) * g)
+        if self.a is None:
+            return DyadicInterval.from_int(0, prec)
+        nums, den = self.a
+        return Poly(ZZ, nums).eval_interval(gen_ivs[0]) / den
 
     def interval(self, prec=DEFAULT_PREC):
         """Certified enclosure of the element at the embedded point."""
@@ -373,8 +323,8 @@ class TowerElement:
                             "enclosure excludes zero: %s" % iv)
         cur = self
         cofactors = []
-        while cur.top_level() >= 0:
-            c = cur.conj(cur.top_level())
+        while cur.level >= 0:
+            c = cur.conj()
             cofactors.append(c)
             cur = cur * c
         if not cur.is_zero_element():
@@ -393,18 +343,64 @@ class TowerElement:
                         "interval-nonzero" % len(cofactors))
 
 
+# Ring operations on elements of any levels.  They recurse through these
+# functions rather than the operators, so one operator call is one
+# arithmetic operation of the caller.
+
+def _node(level, a, b):
+    """a + b*g_level, stored one level down when b vanishes."""
+    if b.is_zero_element():
+        return a
+    return TowerElement(a.tower, level, a, b)
+
+
+def _plus(x, y):
+    if x.level < y.level:
+        x, y = y, x
+    if x.level < 0:
+        if x.a is None:
+            return y
+        if y.a is None:
+            return x
+        return TowerElement(x.tower, -1, _add(x.a, y.a))
+    if y.level < x.level:
+        return TowerElement(x.tower, x.level, _plus(x.a, y), x.b)
+    return _node(x.level, _plus(x.a, y.a), _plus(x.b, y.b))
+
+
+def _negate(x):
+    if x.level >= 0:
+        return TowerElement(x.tower, x.level, _negate(x.a), _negate(x.b))
+    return x if x.a is None else TowerElement(x.tower, -1, _neg(x.a))
+
+
+def _times(x, y):
+    if x.level < y.level:
+        x, y = y, x
+    tower, k = x.tower, x.level
+    if k < 0:
+        if x.a is None or y.a is None:
+            return tower.zero()
+        return TowerElement(tower, -1, tower._mulmod(x.a, y.a))
+    if y.level < k:
+        return _node(k, _times(x.a, y), _times(x.b, y))
+    a, b, c, d = x.a, x.b, y.a, y.b
+    g2 = tower.squares[k]
+    return _node(k, _plus(_times(a, c), _times(_times(b, d), g2)),
+                 _plus(_times(a, d), _times(b, c)))
+
+
 # ---------------------------------------------------------------------------
 # the coordinate tower
 # ---------------------------------------------------------------------------
 
-def build_coordinates(minpoly_T, root_interval=(Fraction(12, 100),
-                                                Fraction(13, 100))):
+def build_coordinates(minpoly_T):
     """The tower plus exact coordinates of the nine crucial vertices.
 
     Frames: returns (tower, A-frame coordinate dict).  The branch signs are
     the fixed construction table (see the geometry module).
     """
-    tw = Tower(minpoly_T, root_interval)
+    tw = Tower(minpoly_T, SOLUTION_BRACKET)
     T = tw.param()
     r3 = tw.adjoin("sqrt3", tw.base(3))
     w1 = tw.adjoin("height", tw.base(1) - T * T)        # t = sqrt(1 - T^2)
@@ -419,22 +415,23 @@ def build_coordinates(minpoly_T, root_interval=(Fraction(12, 100),
     X = x_D - x_F
     Y = y_D - y_F
     r2 = X * X + Y * Y                                  # (2s)^2
-    w3 = tw.adjoin("diagonal", r2)                      # 2s
     w4 = tw.adjoin("arch",
                    tw.base(-9) + r2 * 10 - r2 * r2)     # sqrt(-9+40s^2-16s^4)
-    inv2s = w3 / r2                                     # 1/(2s)
+    inv_r2 = r2.inverse()                               # 1/(2s)^2
     s2 = r2 / 4                                         # s^2
 
+    # G, H, J in the diagonal frame (F at the origin, D at (2s, 0)), each
+    # coordinate scaled by 2s; rotating back by (X, Y)/(2s) removes it
     def back(XP, YP):
-        return (x_F + XP * inv2s * X - YP * inv2s * Y,
-                y_F + XP * inv2s * Y + YP * inv2s * X)
+        return (x_F + (XP * X - YP * Y) * inv_r2,
+                y_F + (XP * Y + YP * X) * inv_r2)
 
-    X_G = (s2 * 4 - 3) * inv2s / 2
-    Y_G = w4 * inv2s / 2
-    X_H = (s2 * 12 - 3 + r3 * w4) * inv2s / 4
-    Y_H = (r3 * 3 + r3 * s2 * 4 + w4) * inv2s / 4
-    X_J = (s2 * 4 - 3 - r3 * w4) * inv2s / 4
-    Y_J = (r3 * s2 * 4 - r3 * 3 + w4) * inv2s / 4
+    X_G = (s2 * 4 - 3) / 2
+    Y_G = w4 / 2
+    X_H = (s2 * 12 - 3 + r3 * w4) / 4
+    Y_H = (r3 * 3 + r3 * s2 * 4 + w4) / 4
+    X_J = (s2 * 4 - 3 - r3 * w4) / 4
+    Y_J = (r3 * s2 * 4 - r3 * 3 + w4) / 4
 
     zero = tw.zero()
     coords = {

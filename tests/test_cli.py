@@ -21,7 +21,7 @@ class TestUsage:
     def test_bad_grid(self, capsys):
         assert main(["explore", "--grid", "1"]) == 2
 
-    @pytest.mark.parametrize("command", [["derive"], ["certify"],
+    @pytest.mark.parametrize("command", [["certify"],
                                          ["explore", "--grid", "3"]])
     @pytest.mark.parametrize("digits", ["0", "-5", "5", "abc"])
     def test_bad_digits(self, capsys, command, digits):
@@ -29,6 +29,14 @@ class TestUsage:
             main(command + ["--digits", digits])
         assert err.value.code == 2
         assert "--digits" in capsys.readouterr().err
+
+    def test_derive_has_no_digits(self, capsys):
+        # derive never reads the working precision
+        with pytest.raises(SystemExit) as err:
+            main(["derive", "--digits", "200"])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --digits 200" in \
+            capsys.readouterr().err
 
 
 class TestExplore:

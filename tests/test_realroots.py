@@ -4,13 +4,39 @@ from fractions import Fraction
 import pytest
 
 from harborth.errors import EndpointRoot, NotSquarefree, ZeroInput
-from harborth.poly import poly_Z
-from harborth.realroots import (_sign_at, isolate, refine, root_bound,
-                                signature, sturm_chain, sturm_count)
+from harborth.poly import Poly, poly_Z
+from harborth.realroots import (_positive_primitive, _sign_at, isolate, refine,
+                                root_bound, signature, sturm_chain,
+                                sturm_count)
+from harborth.rings import ZZ, common_denominator
 
 DEG22 = [-492075, 0, 52356780, 0, -1441635408, 0, 12222052416, 0,
          -60567699456, 0, 189747007488, 0, -417660420096, 0, 607025037312, 0,
          -655053815808, 0, 446118756352, 0, -422064422912, 0, 437348466688]
+
+
+def sturm_chain_over_q(p):
+    """Reference chain: negated remainders over Q, each scaled to a
+    primitive integer polynomial by a positive constant."""
+    chain = [_positive_primitive(p.map_ring(ZZ))]
+    chain.append(_positive_primitive(chain[0].derivative()))
+    while chain[-1].degree >= 1:
+        rem = chain[-2].to_field() % chain[-1].to_field()
+        if rem.is_zero():
+            break
+        den = common_denominator(rem.coeffs)
+        chain.append(_positive_primitive(
+            Poly(ZZ, [-(c * den) for c in rem.coeffs], p.var)))
+    return chain
+
+
+def random_polys(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        coeffs = [rng.randint(-60, 60) for _ in range(rng.randint(1, 12))]
+        coeffs.append(rng.choice([-1, 1]) * rng.randint(1, 9))
+        p = poly_Z(coeffs)
+        yield p * p if rng.random() < 0.2 else p
 
 
 def bisect_by_count(p, interval, width):
@@ -163,3 +189,26 @@ class TestSignature:
     def test_not_squarefree(self):
         with pytest.raises(NotSquarefree):
             signature(poly_Z([1, 2, 1]))
+
+    def test_matches_isolation(self):
+        checked = 0
+        for p in random_polys(22, 260):
+            if p.squarefree_part().degree != p.degree:
+                with pytest.raises(NotSquarefree):
+                    signature(p)
+                continue
+            s = signature(p)
+            assert s.real_roots == isolate(p).count, p
+            assert s.real_roots + 2 * s.complex_pairs == p.degree
+            checked += 1
+        assert checked >= 200
+
+
+class TestSturmChain:
+    def test_matches_rational_remainders(self):
+        for p in random_polys(23, 120):
+            assert sturm_chain(p) == sturm_chain_over_q(p), p
+
+    def test_degree22(self):
+        p = poly_Z(DEG22, "T")
+        assert sturm_chain(p) == sturm_chain_over_q(p)

@@ -11,8 +11,21 @@ from harborth.tower import (Tower, build_coordinates, defining_constraints,
                             to_center_frame)
 
 
+def residues(element):
+    """The base residues of an element, checking on the way that each
+    level's b is nonzero, so the element sits at its highest root."""
+    if element.level < 0:
+        if element.a is not None:
+            yield element.a
+        return
+    assert not element.b.is_zero_element()
+    assert max(element.a.level, element.b.level) < element.level
+    yield from residues(element.a)
+    yield from residues(element.b)
+
+
 def assert_canonical(element):
-    for nums, den in element.coeffs.values():
+    for nums, den in residues(element):
         assert den > 0
         assert nums and nums[-1] != 0
         assert all(isinstance(c, int) for c in nums)
@@ -179,3 +192,71 @@ class TestCoordinates:
         _, coords = coordinates
         eqs = dict(defining_constraints(to_center_frame(coords)))
         assert not eqs["orthogonality x_H = x_J"].is_zero_element()
+
+
+@pytest.fixture(scope="module")
+def field_tower():
+    """Q(sqrt 2)(sqrt 3)(sqrt(3 + sqrt 2))(sqrt(4 + sqrt 3 + sqrt(3 + sqrt 2))),
+    a field of degree 16 over Q."""
+    tw = Tower(poly_Z([-2, 0, 1], "T"), (1, 2))
+    r3 = tw.adjoin("r3", tw.base(3))
+    u = tw.adjoin("u", tw.param() + 3)
+    tw.adjoin("v", u + r3 + 4)
+    return tw
+
+
+def random_element(tw, rng, level):
+    """Random element of at most the given level, with small rational
+    coefficients; a coefficient is sometimes zero, so levels mix."""
+    if level < 0:
+        return tw.base(poly_Q([Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                               for _ in range(2)], "T"))
+    lower = random_element(tw, rng, level - 1)
+    if rng.random() < 0.2:
+        return lower
+    top = random_element(tw, rng, rng.randint(-1, level - 1))
+    return lower + top * tw.gen(tw.names[level])
+
+
+class TestRandomElements:
+    @pytest.fixture()
+    def triples(self, field_tower):
+        rng = random.Random(6)
+        top = len(field_tower.names) - 1
+        return [tuple(random_element(field_tower, rng, rng.randint(-1, top))
+                      for _ in range(3)) for _ in range(25)]
+
+    def test_levels_mix(self, triples):
+        levels = {x.level for triple in triples for x in triple}
+        assert levels == {-1, 0, 1, 2}
+
+    def test_associative(self, triples):
+        for x, y, z in triples:
+            assert (x * y) * z == x * (y * z)
+
+    def test_distributive(self, triples):
+        for x, y, z in triples:
+            assert x * (y + z) == x * y + x * z
+            assert (x - y) + y == x
+
+    def test_inverse(self, field_tower, triples):
+        one = field_tower.base(1)
+        for x, _, _ in triples:
+            if not x.is_zero_element():
+                assert x * x.inverse() == one
+                assert_canonical(x.inverse())
+
+    def test_generator_squares(self, field_tower):
+        for name, square in zip(field_tower.names, field_tower.squares):
+            g = field_tower.gen(name)
+            assert g * g == square
+            assert g.conj() * g == -square
+
+    def test_product_enclosure(self, triples):
+        # [x*y] and [x]*[y] are both certified enclosures of the product
+        for x, y, _ in triples:
+            got = (x * y).interval(120)
+            want = x.interval(120) * y.interval(120)
+            assert got.lo_fraction() <= want.hi_fraction()
+            assert want.lo_fraction() <= got.hi_fraction()
+            assert abs(got.midpoint() - want.midpoint()) < Fraction(1, 2 ** 90)
