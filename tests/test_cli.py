@@ -21,7 +21,9 @@ class TestUsage:
     def test_bad_grid(self, capsys):
         assert main(["explore", "--grid", "1"]) == 2
 
-    @pytest.mark.parametrize("command", [["certify"],
+    # derive has no --digits option, so argparse rejects it as an
+    # unrecognized argument; the other commands reject the bad value
+    @pytest.mark.parametrize("command", [["derive"], ["certify"],
                                          ["explore", "--grid", "3"]])
     @pytest.mark.parametrize("digits", ["0", "-5", "5", "abc"])
     def test_bad_digits(self, capsys, command, digits):
