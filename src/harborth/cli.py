@@ -25,7 +25,7 @@ import sys
 from fractions import Fraction
 
 from .errors import HarborthError
-from .geometry import extremal, phi
+from .geometry import endpoint_bracket, phi
 from .pipeline import Pipeline, _any_to_json
 from .poly import Poly
 from .realroots import isolate, refine, sturm_chain
@@ -35,15 +35,21 @@ DEFAULT_DIGITS = 120
 MIN_DIGITS = 15
 
 
-def _digits(raw):
-    try:
-        value = int(raw)
-    except ValueError:
-        value = None
-    if value is None or value < MIN_DIGITS:
-        raise argparse.ArgumentTypeError(
-            "must be an integer of at least %d, got %r" % (MIN_DIGITS, raw))
-    return value
+def _at_least(floor):
+    """argparse type: an integer of at least `floor`."""
+    def parse(raw):
+        try:
+            value = int(raw)
+        except ValueError:
+            value = None
+        if value is None or value < floor:
+            raise argparse.ArgumentTypeError(
+                "must be an integer of at least %d, got %r" % (floor, raw))
+        return value
+    return parse
+
+
+_digits = _at_least(MIN_DIGITS)
 
 
 def _env_digits():
@@ -103,8 +109,9 @@ def _parser():
 
     v = sub.add_parser("render", help="write the SVG figure")
     v.add_argument("--frame", choices=FRAMES, default="K")
-    v.add_argument("--digits", type=int, default=9,
-                   help="printed decimal places for coordinates")
+    v.add_argument("--digits", type=_at_least(0), default=9,
+                   help="printed decimal places for coordinates (at most "
+                        "what the coordinate enclosures certify)")
     v.add_argument("--out", required=True)
     return top
 
@@ -177,7 +184,7 @@ def _cmd_explore(args, digits):
         print("--grid must be at least 2", file=sys.stderr)
         return 2
     prec = _bits(digits)
-    b = extremal(min(prec, 300)).b.interval(200).lo_fraction()
+    b, _ = endpoint_bracket(Fraction(1, 2 ** 200))
     print("%-22s %s" % ("T", "phi(T) [degrees]"))
     for k in range(args.grid):
         T = b * k / (args.grid - 1)

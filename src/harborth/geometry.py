@@ -26,11 +26,12 @@ from fractions import Fraction
 
 import mpmath
 
-from .algnum import AlgebraicNumber
 from .dyadic import DEFAULT_PREC, DyadicInterval
 from .errors import (Ambiguous, MissingAnchor, NoIntersection,
                      TangentDegenerate)
+from .factor import irreducibility_certificate
 from .poly import poly_Z
+from .realroots import refine
 
 BRANCHES = {"F": 1, "G": 1, "H": -1, "J": 1}
 
@@ -78,8 +79,8 @@ class AngleReport:
 
 @dataclass(frozen=True)
 class ExtremalReport:
-    """Exact right endpoint of the height range and the extreme angles."""
-    b: AlgebraicNumber
+    """Right endpoint of the height range and the extreme angles."""
+    b: tuple               # (lo, hi) Fractions bracketing b, width < 1e-60
     phi_at_0: str
     phi_at_b: str
     residuals: dict
@@ -280,8 +281,15 @@ def solve_T(tolerance=Fraction(1, 10 ** 16)):
     return DyadicInterval.from_endpoints(lo + a * h, lo + b * h, prec)
 
 
-def _endpoint():
-    return AlgebraicNumber(poly_Z(ENDPOINT_QUARTIC, "T"), ENDPOINT_BRACKET)
+def endpoint_bracket(width):
+    """Bracket (lo, hi) narrower than `width` around the right endpoint b.
+
+    b is the root of ENDPOINT_QUARTIC in ENDPOINT_BRACKET: the quartic is
+    certified irreducible, so it is b's minimal polynomial, and refine
+    rejects a bracket that does not isolate exactly one of its roots."""
+    quartic = poly_Z(ENDPOINT_QUARTIC, "T")
+    irreducibility_certificate(quartic)
+    return refine(quartic, ENDPOINT_BRACKET, width)
 
 
 def extremal(precision=DEFAULT_PREC):
@@ -297,14 +305,13 @@ def extremal(precision=DEFAULT_PREC):
       * cos(alpha(b)) against its nested-radical closed form
       * m_alpha * m_beta - 1 at the solved height
     """
-    b = _endpoint()
+    b = endpoint_bracket(Fraction(1, 10 ** 60))
     dps = max(30, precision * 30 // 100)
     report0 = phi(0, precision)
 
     # sample just inside the right endpoint; the angle is Holder-1/2 there,
     # so an offset of 10^-40 perturbs phi by well under 10^-15
-    b_iv = b.refined(Fraction(1, 10 ** 60))
-    T_near = b_iv.lo - Fraction(1, 10 ** 40)
+    T_near = b[0] - Fraction(1, 10 ** 40)
     report_b = phi(T_near, precision)
 
     with mpmath.workdps(dps):
@@ -334,8 +341,7 @@ def frame_transform(cfg, target):
 
     Frames: "A" (construction frame, A at the origin, C on the x-axis),
     "F" (origin F, x-axis along the diagonal FD), "K" (x shifted so the
-    vertical crossbar line x = x_J becomes the y-axis), and "J-mirror"
-    (reflection across that line, the other half of the configuration).
+    vertical crossbar line x = x_J becomes the y-axis).
     """
     if target == cfg.frame:
         return cfg
@@ -344,9 +350,6 @@ def frame_transform(cfg, target):
         if target == "K":
             x_J = cfg.point("J")[0]
             pts = {p: (x - x_J, y) for p, (x, y) in cfg.points.items()}
-        elif target == "J-mirror":
-            x_J = cfg.point("J")[0]
-            pts = {p: (x_J * 2 - x, y) for p, (x, y) in cfg.points.items()}
         elif target == "F":
             x_F, y_F = cfg.point("F")
             x_D, y_D = cfg.point("D")
@@ -362,9 +365,6 @@ def frame_transform(cfg, target):
         # in the K frame x_A = -x_J(old), so the shift is recoverable
         x_A = cfg.point("A")[0]
         pts = {p: (x - x_A, y) for p, (x, y) in cfg.points.items()}
-    elif cfg.frame == "J-mirror" and target == "A":
-        x_J = cfg.point("J")[0]
-        pts = {p: (x_J * 2 - x, y) for p, (x, y) in cfg.points.items()}
     else:
         raise MissingAnchor(
             "cannot transform from frame %r to %r: the required anchors "

@@ -21,6 +21,7 @@ run without redoing earlier work.
 from __future__ import annotations
 
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -33,7 +34,8 @@ from .elim import groebner, resultant, squarefree_part
 from .errors import Ambiguous, NotDivisible, StageDependencyMissing
 from .factor import (even_reconstruct, factor_bivariate, factor_z,
                      select_factor)
-from .geometry import build_config, extremal, frame_transform, solve_T
+from .geometry import (ENDPOINT_QUARTIC, build_config, extremal,
+                       frame_transform, solve_T)
 from .multipoly import MultiPoly, _extend
 from .poly import Poly
 from .quadratic import QuadInt
@@ -325,8 +327,16 @@ class Pipeline:
             for r in recs]}
         if n == 5:
             blob["accounting"] = self.accounting
-        self._stage_path(n).write_text(
-            json.dumps(blob, sort_keys=True) + "\n")
+        # write beside the target and rename over it, so a reader sees
+        # the old file or the new one, never a partial write
+        path = self._stage_path(n)
+        tmp = path.with_name("%s.%d.tmp" % (path.name, os.getpid()))
+        try:
+            tmp.write_text(json.dumps(blob, sort_keys=True) + "\n")
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
     def _load_stage(self, n):
         """Load a cached stage, re-deciding every reference match.
@@ -756,8 +766,9 @@ class Pipeline:
         ok = ok and self._accounting_rederived()
 
         ext = extremal(self.precision)
+        quartic = Poly(ZZ, ENDPOINT_QUARTIC, "T")
         payload["extremal"] = {
-            "endpoint_minpoly": _poly_to_json(ext.b.minpoly),
+            "endpoint_minpoly": _poly_to_json(quartic),
             "phi_at_0": ext.phi_at_0,
             "phi_at_b": ext.phi_at_b,
             "residuals": ext.residuals,

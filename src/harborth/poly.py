@@ -272,12 +272,6 @@ class Poly:
             power = power * c
         return Poly(ring, out, self.var)
 
-    def mirror(self):
-        """p(-x)."""
-        return Poly(self.ring,
-                    [c if k % 2 == 0 else -c for k, c in enumerate(self.coeffs)],
-                    self.var)
-
     def shift_argument(self, c):
         """p(x + c)."""
         x_plus_c = Poly(self.ring, [c, self.ring.one], self.var)

@@ -7,12 +7,14 @@ frame the reflections are plain sign flips, so the quarter is computed
 once at certified precision and replicated.
 
 All coordinates are printed from exact dyadic enclosures, so two renders
-with the same flags produce byte-identical files.
+with the same flags produce byte-identical files, and no more decimal
+places are printed than every enclosure certifies.
 """
 
 from fractions import Fraction
 
 from .dyadic import DEFAULT_PREC
+from .errors import HarborthError
 from .geometry import Configuration, build_config, frame_transform, solve_T
 
 # one drawn segment per defining constraint (pairs collapsed: the two
@@ -52,6 +54,16 @@ def _full_configuration(frame, precision):
 def render_svg(frame="K", digits=6, precision=DEFAULT_PREC):
     """The complete figure in the requested frame, as an SVG string."""
     full = _full_configuration(frame, precision)
+    # the rounded midpoint of an enclosure of width w is within 10^-d of
+    # every point in it once w <= 10^-d
+    widest = max(c.width() for point in full.points.values() for c in point)
+    certified = 0
+    while widest * 10 ** (certified + 1) <= 1:
+        certified += 1
+    if digits > certified:
+        raise HarborthError(
+            "%d decimal places requested, but the coordinate enclosures "
+            "certify only %d" % (digits, certified))
     # SVG's y axis points down; negate y on output
     coords = {name: (x.decimal(digits), (-y).decimal(digits))
               for name, (x, y) in full.points.items()}

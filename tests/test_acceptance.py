@@ -18,13 +18,14 @@ from fractions import Fraction
 import pytest
 
 from harborth import golden
-from harborth.algnum import AlgebraicNumber, radicals_criterion
+from harborth.algnum import radicals_criterion
 from harborth.dyadic import DyadicInterval
 from harborth.elim import resultant, sylvester_resultant_oracle
 from harborth.factor import factor_z, irreducibility_certificate
 from harborth.pipeline import Pipeline
-from harborth.poly import poly_Z
-from harborth.realroots import isolate, refine, root_bound, signature
+from harborth.poly import Poly, poly_Z
+from harborth.realroots import (isolate, refine, root_bound, signature,
+                                sturm_count)
 from harborth.rings import ZS3
 from harborth.svg import render_svg
 
@@ -137,18 +138,18 @@ class TestExtremalConstants:
     """Criterion 5: the endpoint of the admissible height range and the
     extreme completion angles."""
 
-    def test_endpoint_closed_form(self, report):
-        blob = report.payload["extremal"]
-        # independent nested-radical construction of (1/4)sqrt(7-3*sqrt(5))
-        sqrt5 = AlgebraicNumber(poly_Z([-5, 0, 1]), (2, 3))
-        closed = (AlgebraicNumber.from_rational(7) - sqrt5 * 3).sqrt() / 4
-        # b is reported through its quartic; rebuild and compare to 1e-30
-        from harborth.poly import Poly
-        quartic = Poly.from_json_dict(blob["endpoint_minpoly"])
-        b = AlgebraicNumber(quartic, (Fraction(13, 100), Fraction(14, 100)))
-        assert b == closed
-        gap = (b - closed).interval(160)
-        assert gap.mag_upper() < Fraction(1, 10 ** 30)
+    def test_endpoint_closed_form(self, report, nested_endpoint):
+        # b is reported through its quartic: the quartic vanishes exactly
+        # at (1/4)sqrt(7 - 3*sqrt(5)), built in the radical tower, and
+        # that number is its one root in (13/100, 14/100)
+        quartic = Poly.from_json_dict(report.payload["extremal"]
+                                      ["endpoint_minpoly"])
+        zt = quartic.eval(nested_endpoint).zero_test()
+        assert zt.verdict == "proved-zero"
+        lo, hi = Fraction(13, 100), Fraction(14, 100)
+        iv = nested_endpoint.interval(200)
+        assert lo < iv.lo_fraction() and iv.hi_fraction() < hi
+        assert sturm_count(quartic, lo, hi) == 1
 
     def test_extreme_angles(self, report):
         blob = report.payload["extremal"]

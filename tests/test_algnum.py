@@ -1,79 +1,8 @@
-from fractions import Fraction
-
 import pytest
 
-from harborth.algnum import AlgebraicNumber, radicals_criterion
+from harborth.algnum import radicals_criterion
 from harborth.errors import NotIrreducible
 from harborth.poly import poly_Z
-
-
-def sqrt_of(n, bracket):
-    return AlgebraicNumber(poly_Z([-n, 0, 1]), bracket)
-
-
-class TestConstruction:
-    def test_bad_interval_rejected(self):
-        with pytest.raises(ValueError):
-            AlgebraicNumber(poly_Z([-2, 0, 1]), (-2, 2))
-
-    def test_reducible_rejected(self):
-        with pytest.raises(NotIrreducible):
-            AlgebraicNumber(poly_Z([-1, 0, 1]), (Fraction(1, 2), 2))
-
-    def test_rational(self):
-        a = AlgebraicNumber.from_rational(Fraction(3, 7))
-        assert a.is_rational() and a.as_fraction() == Fraction(3, 7)
-
-    def test_sign_and_interval(self):
-        r2 = sqrt_of(2, (1, 2))
-        assert r2.sign() == 1
-        iv = r2.interval(200)
-        assert iv.contains_zero() is False
-        assert iv.width() < Fraction(1, 2 ** 190)
-
-
-class TestArithmetic:
-    def test_sum_of_roots(self):
-        s = sqrt_of(2, (1, 2)) + sqrt_of(3, (1, 2))
-        assert s.minpoly == poly_Z([1, 0, -10, 0, 1])
-
-    def test_product(self):
-        p = sqrt_of(2, (1, 2)) * sqrt_of(3, (1, 2))
-        assert p.minpoly == poly_Z([-6, 0, 1])
-
-    def test_difference_collapses(self):
-        d = sqrt_of(2, (1, 2)) - sqrt_of(2, (1, 2))
-        assert d.is_rational() and d.as_fraction() == 0
-
-    def test_rational_collapse_via_conjugates(self):
-        r2 = sqrt_of(2, (1, 2))
-        q = (r2 + 1) * (r2 - 1)
-        assert q.as_fraction() == 1
-
-    def test_inverse(self):
-        inv = sqrt_of(2, (1, 2)).inverse()
-        assert inv.minpoly == poly_Z([-1, 0, 2])
-        assert (inv * sqrt_of(2, (1, 2))).as_fraction() == 1
-
-    def test_division_by_zero(self):
-        with pytest.raises(ZeroDivisionError):
-            sqrt_of(2, (1, 2)) / AlgebraicNumber.from_rational(0)
-
-    def test_nested_radical_oracle(self):
-        # (1/4)*sqrt(7 - 3*sqrt(5)): minimal polynomial 64x^4 - 56x^2 + 1
-        sqrt5 = sqrt_of(5, (2, 3))
-        val = (AlgebraicNumber.from_rational(7) - sqrt5 * 3).sqrt() / 4
-        assert val.minpoly == poly_Z([1, 0, -56, 0, 64])
-
-    def test_sqrt_of_negative_rejected(self):
-        with pytest.raises(ValueError):
-            (-sqrt_of(2, (1, 2))).sqrt()
-
-    def test_mixed_scalars(self):
-        r2 = sqrt_of(2, (1, 2))
-        assert (2 * r2).minpoly == poly_Z([-8, 0, 1])
-        assert (r2 / 2).minpoly == poly_Z([-1, 0, 2])
-        assert (1 - r2).minpoly == poly_Z([-1, -2, 1])
 
 
 class TestRadicals:

@@ -32,6 +32,15 @@ class TestUsage:
         assert err.value.code == 2
         assert "--digits" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("places", ["-3", "abc", "2.5"])
+    def test_bad_render_places(self, tmp_path, capsys, places):
+        out = tmp_path / "f.svg"
+        with pytest.raises(SystemExit) as err:
+            main(["render", "--digits", places, "--out", str(out)])
+        assert err.value.code == 2
+        assert "--digits" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_derive_has_no_digits(self, capsys):
         # derive never reads the working precision
         with pytest.raises(SystemExit) as err:
@@ -112,6 +121,15 @@ class TestRender:
                      "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
         assert a.read_bytes().startswith(b"<?xml")
+
+    @pytest.mark.parametrize("places", ["200", "5000"])
+    def test_uncertified_places_refused(self, tmp_path, capsys, places):
+        # the enclosures at the default precision certify about 37 places
+        out = tmp_path / "f.svg"
+        assert main(["render", "--digits", places, "--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not out.exists()
 
 
 class TestPipelineCommands:

@@ -4,10 +4,13 @@ import pytest
 
 from harborth import geometry, golden
 from harborth.dyadic import DyadicInterval
-from harborth.errors import MissingAnchor, NoIntersection, TangentDegenerate
-from harborth.geometry import (build_config, circ_circ, extremal,
-                               frame_transform, phi, solve_T)
+from harborth.errors import (MissingAnchor, NoIntersection, NotIrreducible,
+                             TangentDegenerate)
+from harborth.geometry import (ENDPOINT_BRACKET, ENDPOINT_QUARTIC,
+                               build_config, circ_circ, endpoint_bracket,
+                               extremal, frame_transform, phi, solve_T)
 from harborth.poly import poly_Z
+from harborth.realroots import sturm_count
 
 T_NEAR = Fraction(golden.T_SOLVED)
 
@@ -197,14 +200,38 @@ def cfg():
 class TestExtremal:
 
     def test_endpoint_minpoly(self, report):
-        assert report.b.minpoly == golden.extremal_quartic()
+        quartic = golden.extremal_quartic()
+        assert poly_Z(ENDPOINT_QUARTIC, "T") == quartic
+        lo, hi = report.b
+        assert hi - lo < Fraction(1, 10 ** 60)
+        assert sturm_count(quartic, lo, hi) == 1
 
-    def test_endpoint_nested_radical(self, report):
-        # b = sqrt(7 - 3*sqrt(5)) / 4, built independently
-        from harborth.algnum import AlgebraicNumber
-        sqrt5 = AlgebraicNumber(poly_Z([-5, 0, 1]), (2, 3))
-        other = (AlgebraicNumber.from_rational(7) - sqrt5 * 3).sqrt() / 4
-        assert other == report.b
+    def test_endpoint_nested_radical(self, report, nested_endpoint):
+        # the quartic vanishes exactly at sqrt(7 - 3*sqrt(5))/4, and that
+        # number is its one root in the endpoint bracket
+        quartic = golden.extremal_quartic()
+        zt = quartic.eval(nested_endpoint).zero_test()
+        assert zt.verdict == "proved-zero"
+        iv = nested_endpoint.interval(200)
+        lo, hi = ENDPOINT_BRACKET
+        assert lo < iv.lo_fraction() and iv.hi_fraction() < hi
+        assert sturm_count(quartic, lo, hi) == 1
+        assert report.b[0] <= iv.hi_fraction()
+        assert iv.lo_fraction() <= report.b[1]
+
+    def test_endpoint_bracket_must_isolate(self, monkeypatch):
+        # (0, 1) holds b and the second positive root near 0.926
+        monkeypatch.setattr(geometry, "ENDPOINT_BRACKET", (0, 1))
+        with pytest.raises(ValueError):
+            endpoint_bracket(Fraction(1, 10 ** 6))
+
+    def test_endpoint_quartic_must_be_irreducible(self, monkeypatch):
+        # (200T - 27)(T^3 + 1) has one root, 0.135, in the bracket, so
+        # only the irreducibility certificate rejects it
+        monkeypatch.setattr(geometry, "ENDPOINT_QUARTIC",
+                            [-27, 200, 0, -27, 200])
+        with pytest.raises(NotIrreducible):
+            endpoint_bracket(Fraction(1, 10 ** 6))
 
     def test_extreme_angles(self, report):
         assert abs(float(report.phi_at_0)
@@ -223,12 +250,6 @@ class TestFrames:
         assert k.points["H"][0].mag_upper() < Fraction(1, 10 ** 12)
         assert abs(k.points["A"][0].midpoint()
                    + cfg.points["J"][0].midpoint()) < Fraction(1, 2 ** 250)
-
-    def test_mirror_is_involution(self, cfg):
-        m = frame_transform(cfg, "J-mirror")
-        back = frame_transform(m, "A")
-        for p, (x, y) in back.points.items():
-            assert (x - cfg.points[p][0]).mag_upper() < Fraction(1, 2 ** 250)
 
     def test_diagonal_frame(self, cfg):
         f = frame_transform(cfg, "F")

@@ -1,4 +1,6 @@
 import json
+import os
+from dataclasses import replace
 
 import pytest
 
@@ -115,6 +117,22 @@ class TestCache:
         recs = Pipeline(cache_dir=tmp_path).run_stage(1)
         assert all(r.matches_reference for r in recs)
         assert (tmp_path / "stage1.json").read_text() == good
+
+    def test_failed_save_keeps_old_stage(self, pipeline, tmp_path,
+                                         monkeypatch):
+        old = (pipeline.cache_dir / "stage1.json").read_bytes()
+        (tmp_path / "stage1.json").write_bytes(old)
+        fresh = Pipeline(cache_dir=tmp_path)
+        recs = [replace(r, note="rewritten") for r in pipeline.records[1]]
+
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError):
+            fresh._save_stage(1, recs)
+        assert (tmp_path / "stage1.json").read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["stage1.json"]
 
     def test_missing_dependency(self, tmp_path):
         empty = Pipeline(cache_dir=tmp_path / "nothing")

@@ -1,5 +1,6 @@
 import pytest
 
+from harborth.errors import HarborthError
 from harborth.svg import EDGES, render_svg
 
 
@@ -37,6 +38,13 @@ class TestRender:
         # frame puts F there
         assert '<text x="0.00000" y="0.00000" dx="0.05" dy="-0.05">A' in a
         assert '<text x="0.00000" y="0.00000" dx="0.05" dy="-0.05">F' in f
+
+    def test_places_bounded_by_enclosures(self):
+        # solve_T to 1e-40 leaves every coordinate enclosure narrower than
+        # 1e-30 but wider than 1e-45 at the default precision
+        assert 'x="0.995049' in render_svg("K", 30)
+        with pytest.raises(HarborthError, match="certify only 3[0-9]"):
+            render_svg("K", 45)
 
     def test_unknown_frame(self):
         with pytest.raises(ValueError):
