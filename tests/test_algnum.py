@@ -2,7 +2,18 @@ import pytest
 
 from harborth.algnum import radicals_criterion
 from harborth.errors import NotIrreducible
+from harborth.factor import irreducibility_certificate
 from harborth.poly import poly_Z
+
+
+class TestArithmetic:
+    def test_nested_radical_oracle(self, nested_endpoint):
+        # (1/4)*sqrt(7 - 3*sqrt(5)): minimal polynomial 64x^4 - 56x^2 + 1,
+        # i.e. a root of it that is irreducible over Q
+        minpoly = poly_Z([1, 0, -56, 0, 64])
+        assert minpoly.eval(nested_endpoint).zero_test().verdict == "proved-zero"
+        assert nested_endpoint.zero_test().verdict == "proved-nonzero"
+        irreducibility_certificate(minpoly)
 
 
 class TestRadicals:
