@@ -24,7 +24,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .errors import HarborthError
+from .errors import HarborthError, TangentDegenerate
 from .geometry import endpoint_bracket, phi
 from .pipeline import Pipeline, _any_to_json
 from .poly import Poly
@@ -188,7 +188,17 @@ def _cmd_explore(args, digits):
     print("%-22s %s" % ("T", "phi(T) [degrees]"))
     for k in range(args.grid):
         T = b * k / (args.grid - 1)
-        report = phi(T, min(prec, 300))
+        # the last sample lies within 2^-200 of b, where the circles turn
+        # tangent: raise its precision until the intersection separates
+        bits = min(prec, 300)
+        while True:
+            try:
+                report = phi(T, bits)
+                break
+            except TangentDegenerate:
+                if bits >= 300:
+                    raise
+                bits = min(2 * bits, 300)
         print("%-22.15g %s" % (float(T), report.phi))
     return 0
 

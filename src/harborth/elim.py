@@ -179,7 +179,20 @@ def drop_var_content(p, var):
 
 
 def squarefree_part(p, var):
-    """Repeated factors in `var` removed (the input must be primitive)."""
+    """Repeated factors in `var` removed (the input must be primitive).
+
+    When at most one other variable occurs, it is first specialized at the
+    first integer t >= 2 that keeps the degree in `var`.  A repeated factor
+    of positive degree in `var` survives such a specialization, so a
+    squarefree image proves p squarefree without the gcd."""
+    rest = [v for v in p.vars if v != var and p.degree(v) > 0]
+    if p and len(rest) <= 1:
+        coeffs = [c.to_poly() for c in p.coefficients_in(var)]
+        t = 2
+        while not coeffs[-1].eval(t):
+            t += 1
+        if Poly(p.ring, [c.eval(t) for c in coeffs], var).is_squarefree():
+            return p
     g = multipoly_gcd(p, _derivative_in(p, var), var)
     if g.degree(var) < 1:
         return p

@@ -465,9 +465,14 @@ def _specialization_points():
 
 def _lift_candidate(Fm, images_m, combo, var, param, t0, D):
     """Lift the subset product of specialized factors to a series factor of
-    Fm in powers of (param - t0), truncated at the exact degree bound D.
-    Returns the candidate as a MultiPoly in (var, param), or None when the
-    lift is inconsistent."""
+    Fm in powers of u = param - t0, truncated at the exact degree bound D.
+
+    Linear Hensel lifting, one series coefficient at a time: with F_j the
+    coefficient of u^j in Fm, step j forms only the error
+    e_j = F_j - sum(g_k * h_(j-k) for 0 < k < j) and solves
+    A*h_0 + B*g_0 == e_j for g_j = A and h_j = B.  Returns the candidate as
+    a MultiPoly in (var, param), or None when the lift is inconsistent:
+    some coefficient of u^j, j <= D, in Fm - g*h is nonzero."""
     K = Fm.ring
     one = Poly(K, [K.one], var)
     g0 = one
@@ -477,45 +482,34 @@ def _lift_candidate(Fm, images_m, combo, var, param, t0, D):
             g0 = g0 * g
         else:
             h0 = h0 * g
-    _, s, t = _poly_ext_gcd(g0, h0)
+    _, s, _ = _poly_ext_gcd(g0, h0)
 
-    u = "#u"
-    vars3 = (var, u)
-    u_mp = MultiPoly.variable(K, vars3, u)
-    t_shift = MultiPoly.variable(K, vars3, u) + K.coerce(t0)
-    Fu = _extend(Fm, (var, param)).substitute(param, t_shift)
-    Fu = _extend(Fu, vars3)
-    g = MultiPoly.from_poly(g0, vars3)
-    h = MultiPoly.from_poly(h0, vars3)
-    for j in range(1, D + 1):
-        diff = Fu - g * h
-        e = _series_coeff(diff, u, j, var)
-        if e.is_zero():
-            continue
-        B = (s * e) % h0
-        A = (e - B * g0).to_field().exact_div(h0.to_field())
-        g = g + u_mp ** j * MultiPoly.from_poly(A.with_var(var), vars3)
-        h = h + u_mp ** j * MultiPoly.from_poly(B.with_var(var), vars3)
-    if _truncate(Fu - g * h, u, D + 1):
+    shifted = [c.to_poly(param).shift_argument(K.coerce(t0))
+               for c in Fm.coefficients_in(var)]
+    F = [Poly(K, [c.coeff(j) for c in shifted], var) for j in range(D + 1)]
+    if F[0] != g0 * h0:
         return None
-    back = MultiPoly.variable(K, (var, param), param) - K.coerce(t0)
-    return _extend(g.substitute(u, back), (var, param))
+    gs, hs = [g0], [h0]
+    for j in range(1, D + 1):
+        e = F[j]
+        for k in range(1, j):
+            e = e - gs[k] * hs[j - k]
+        # B = s*e mod h0 makes e - B*g0 divisible by h0 when s*g0 + t*h0
+        # == 1; a remainder means the coefficient of u^j cannot vanish
+        B = (s * e) % h0
+        A, r = (e - B * g0).divmod(h0)
+        if r:
+            return None
+        gs.append(A)
+        hs.append(B)
 
-
-def _series_coeff(mp, u, j, var):
-    i = list(mp.vars).index(u)
+    back = K.coerce(-t0)
     terms = {}
-    for e, c in mp.terms.items():
-        if e[i] == j:
-            terms[tuple(x for k, x in enumerate(e) if k != i)] = c
-    rest = tuple(v for v in mp.vars if v != u)
-    return MultiPoly(mp.ring, rest, terms).to_poly(var)
-
-
-def _truncate(mp, u, order):
-    i = list(mp.vars).index(u)
-    return MultiPoly(mp.ring, mp.vars,
-                     {e: c for e, c in mp.terms.items() if e[i] < order})
+    for i in range(g0.degree + 1):
+        series = Poly(K, [gj.coeff(i) for gj in gs], param)
+        for k, c in enumerate(series.shift_argument(back).coeffs):
+            terms[(i, k)] = c
+    return MultiPoly(K, (var, param), terms)
 
 
 def _poly_ext_gcd(a, b):

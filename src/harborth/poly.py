@@ -204,7 +204,7 @@ class Poly:
     # -- content and normalization ---------------------------------------
 
     def content(self):
-        """Integer content (a positive int; 0 for the zero polynomial)."""
+        """Content (see rings.content_of; 0 for the zero polynomial)."""
         return content_of(self.coeffs)
 
     def primitive(self):

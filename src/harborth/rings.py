@@ -182,8 +182,13 @@ def common_denominator(coeffs):
 
 
 def content_of(coeffs):
-    """Integer content of Z or Z[sqrt(3)] coefficients: the positive gcd of
-    all their rational and sqrt(3) parts (0 when there are none)."""
+    """Content of Z or Z[sqrt(3)] coefficients (0 when there are none).
+
+    First the positive gcd g of all their rational and sqrt(3) parts.  Over
+    Z[sqrt(3)] that misses primes such as sqrt(3) or 1 + sqrt(3), and
+    Gauss's lemma needs them gone as well: unless the coefficients divided
+    by g have a unit gcd in Z[sqrt(3)], the content is g times that gcd."""
+    coeffs = list(coeffs)
     g = 0
     for c in coeffs:
         if isinstance(c, int):
@@ -194,7 +199,32 @@ def content_of(coeffs):
             raise TypeError("content is defined over Z and Z[sqrt3]")
         if g == 1:
             break
-    return g
+    if g == 0 or not isinstance(coeffs[0], QuadInt):
+        return g
+    q = QuadInt(0)
+    for c in coeffs:
+        q = _quad_gcd(q, QuadInt(c.a // g, c.b // g))
+        if abs(q.norm()) == 1:
+            return g
+    # of the associates q*(2 + sqrt(3))^k, one with the least rational part
+    for unit in (QuadInt(2, 1), QuadInt(2, -1)):
+        while abs((q * unit).a) < abs(q.a):
+            q = q * unit
+    return q * g
+
+
+def _quad_gcd(a, b):
+    """A gcd in Z[sqrt(3)] by Euclid's algorithm.  The ring is
+    norm-Euclidean: rounding the exact quotient to the nearest element
+    leaves a remainder of at most 3/4 of the divisor's absolute norm."""
+    while b:
+        n = b.norm()
+        num = a * b.conj()
+        if n < 0:
+            n, num = -n, -num
+        a, b = b, a - QuadInt((2 * num.a + n) // (2 * n),
+                              (2 * num.b + n) // (2 * n)) * b
+    return a
 
 
 def generic_exact_div(x, y):

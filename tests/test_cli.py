@@ -59,6 +59,16 @@ class TestExplore:
         assert "85.88496" in rows[1]
         assert "94.59042" in rows[3]
 
+    @pytest.mark.parametrize("digits", ["15", "60"])
+    def test_endpoint_at_low_digits(self, capsys, digits):
+        # the last sample sits within 2^-200 of the tangent endpoint b,
+        # beyond what 15 or 60 digits separate
+        assert main(["explore", "--grid", "2", "--digits", digits]) == 0
+        rows = capsys.readouterr().out.strip().splitlines()
+        assert len(rows) == 3
+        assert rows[2].startswith("0.135045378368863")
+        assert "94.5904252889523451" in rows[2]
+
 
 class TestRoots:
     @pytest.fixture()

@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+from harborth import elim
 from harborth.elim import (groebner, groebner_contains, resultant,
-                           sylvester_resultant_oracle)
+                           squarefree_part, sylvester_resultant_oracle)
 from harborth.errors import DegreeTooLarge, ZeroInput
 from harborth.multipoly import MultiPoly
-from harborth.poly import poly_Q, poly_Z
-from harborth.rings import QQ, ZZ
+from harborth.poly import Poly, poly_Q, poly_Z
+from harborth.rings import QQ, ZS3, ZZ
 
 
 def mp_vars(ring, *names):
@@ -119,3 +120,50 @@ class TestGroebner:
         for i in range(len(basis)):
             for j in range(i + 1, len(basis)):
                 assert not normal_form(_s_poly(basis[i], basis[j]), basis)
+
+
+class TestSquarefreePart:
+    """A squarefree image at one specialization proves the parent
+    squarefree; otherwise the gcd path decides."""
+
+    @staticmethod
+    def gcd_path(p, monkeypatch):
+        # every image tested non-squarefree: the gcd always runs
+        with monkeypatch.context() as m:
+            m.setattr(Poly, "is_squarefree", lambda self: False)
+            return squarefree_part(p, "x")
+
+    @pytest.mark.parametrize("ring, seed", [(ZZ, 5), (ZS3, 6)])
+    def test_random_match_gcd_path(self, rand_bivariate, monkeypatch,
+                                   ring, seed):
+        rng = random.Random(seed)
+        for _ in range(3):
+            a, b = (rand_bivariate(rng, ring, rng.randint(1, 2),
+                                   rng.randint(1, 3)) for _ in range(2))
+            for p, squarefree in ((a * b, True), (a * a * b, False)):
+                p = p.primitive_part()
+                got = squarefree_part(p, "x")
+                assert got == self.gcd_path(p, monkeypatch)
+                assert (got == p) is squarefree
+
+    def test_squarefree_parent_skips_the_gcd(self, rand_bivariate,
+                                            monkeypatch):
+        rng = random.Random(7)
+        a, b = (rand_bivariate(rng, ZS3, 2, 3) for _ in range(2))
+        p = (a * b).primitive_part()
+
+        def refuse(*args):
+            raise AssertionError("gcd reached")
+
+        monkeypatch.setattr(elim, "multipoly_gcd", refuse)
+        assert squarefree_part(p, "x") is p
+
+    def test_skips_a_point_that_drops_the_degree(self, monkeypatch):
+        # ((T - 2)x + 1)^2 (x + T) specializes at T = 2 to the squarefree
+        # x + 2, because the square loses its degree there
+        x, T = mp_vars(ZZ, "x", "T")
+        square = (T - 2) * x + 1
+        p = square * square * (x + T)
+        got = squarefree_part(p, "x")
+        assert got == (square * (x + T)).primitive_part()
+        assert got == self.gcd_path(p, monkeypatch)

@@ -1,3 +1,5 @@
+import functools
+import operator
 import random
 import time
 from fractions import Fraction
@@ -5,15 +7,15 @@ from fractions import Fraction
 import pytest
 
 from harborth.dyadic import DyadicInterval
-from harborth.errors import (Ambiguous, DegreeBoundExceeded, NotIrreducible,
-                             ZeroInput)
-from harborth.factor import (even_reconstruct, factor_bivariate, factor_z,
-                             factor_zsqrt3, irreducibility_certificate,
-                             select_factor)
+from harborth.errors import (Ambiguous, DegreeBoundExceeded, NotDivisible,
+                             NotIrreducible, ZeroInput)
+from harborth.factor import (_lift_candidate, even_reconstruct,
+                             factor_bivariate, factor_z, factor_zsqrt3,
+                             irreducibility_certificate, select_factor)
 from harborth.multipoly import MultiPoly
-from harborth.poly import poly_Z, poly_ZS3
+from harborth.poly import poly_Q, poly_Z, poly_ZS3
 from harborth.quadratic import QuadInt
-from harborth.rings import ZS3, ZZ
+from harborth.rings import QQ, ZS3, ZZ
 
 # an upstream table entry used as a realistic heavy input (degree 22)
 DEG22 = [-492075, 0, 52356780, 0, -1441635408, 0, 12222052416, 0,
@@ -129,6 +131,16 @@ class TestFactorZSqrt3:
         assert res.content == QuadInt(2, 1)
         assert res.verify(p)
 
+    def test_factor_with_content_beyond_integers(self):
+        # 1 + sqrt(3) divides every coefficient of the monic factor's
+        # integral representative 2x + (sqrt(3) - 1), yet no integer does
+        p = poly_ZS3([QuadInt(1, 1), QuadInt(4, 2)]) * \
+            poly_ZS3([QuadInt(1), QuadInt(0, 1)])
+        res = factor_zsqrt3(p)
+        assert res.verify(p)
+        assert [f.degree for f, _ in res.factors] == [1, 1]
+        assert all(f.content() == 1 for f, _ in res.factors)
+
     def test_random_products_reassemble(self):
         rng = random.Random(11)
         atoms = [poly_ZS3([QuadInt(0, -1), QuadInt(2)], "T"),
@@ -194,6 +206,59 @@ class TestFactorBivariate:
         res = factor_bivariate(P, "x", "T")
         assert res.verify(P)
         assert len(res.factors) == 2
+
+    @pytest.mark.parametrize("ring, seed", [(ZZ, 3), (ZS3, 4)])
+    def test_random_products_recovered(self, rand_bivariate, ring, seed):
+        # non-monic in x and of degree >= 10 in T, so the lift runs to a
+        # large degree bound
+        rng = random.Random(seed)
+        for count in (2, 3, 2):
+            parts = [rand_bivariate(rng, ring, rng.randint(1, 2),
+                                    10 // count + 1)
+                     for _ in range(count)]
+            P = functools.reduce(operator.mul, parts)
+            assert P.degree("T") >= 10
+            assert P.coefficients_in("x")[-1].total_degree() >= 10
+            res = factor_bivariate(P, "x", "T")
+            assert res.verify(P)
+            assert [m for _, m in res.factors] == [1] * count
+            for part in parts:
+                assert any(_same_up_to_unit(g, part)
+                           for g, _ in res.factors), part
+
+
+def _same_up_to_unit(f, g):
+    try:
+        return f.exact_div(g).is_constant()
+    except NotDivisible:
+        return False
+
+
+class TestLiftCandidate:
+    """The series lift of (x - T)(x + T + 1) from its image x(x + 1) at
+    T = 0."""
+
+    @staticmethod
+    def monic_parent():
+        return MultiPoly(QQ, ("x", "T"), {(2, 0): 1, (1, 0): 1,
+                                          (0, 2): -1, (0, 1): -1})
+
+    def test_recovers_the_factor(self):
+        images = [poly_Q([0, 1]), poly_Q([1, 1])]
+        g = _lift_candidate(self.monic_parent(), images, (0,), "x", "T", 0, 2)
+        assert g == MultiPoly(QQ, ("x", "T"), {(1, 0): 1, (0, 1): -1})
+
+    def test_rejects_images_of_another_polynomial(self):
+        images = [poly_Q([2, 1]), poly_Q([1, 1])]
+        assert _lift_candidate(self.monic_parent(), images, (0,),
+                               "x", "T", 0, 2) is None
+
+    def test_rejects_an_unsolvable_step(self):
+        # x^2 + T: the images x, x multiply to x^2 but share a factor, so
+        # the first series coefficient cannot be matched
+        Fm = MultiPoly(QQ, ("x", "T"), {(2, 0): 1, (0, 1): 1})
+        images = [poly_Q([0, 1]), poly_Q([0, 1])]
+        assert _lift_candidate(Fm, images, (0,), "x", "T", 0, 1) is None
 
 
 class TestReconstruct:

@@ -1,6 +1,7 @@
 import json
 import os
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +9,8 @@ from harborth import golden
 from harborth.errors import StageDependencyMissing
 from harborth.pipeline import (STAGE_OUTPUTS, Pipeline, _any_from_json,
                                _any_to_json)
+
+COMMITTED_CACHE = Path(__file__).resolve().parent.parent / ".harborth-cache"
 
 
 class TestRecords:
@@ -142,6 +145,18 @@ class TestCache:
     def test_bad_stage_number(self, pipeline):
         with pytest.raises(ValueError):
             pipeline.run_stage(8)
+
+
+class TestDerivation:
+    def test_bivariate_stages_rederive_byte_identical(self, tmp_path):
+        # stages 1-4: Groebner eliminants, resultants, squarefree parts and
+        # bivariate factor selection, derived from nothing
+        fresh = Pipeline(cache_dir=tmp_path)
+        for n in range(1, 5):
+            fresh.run_stage(n, use_cache=False)
+            name = "stage%d.json" % n
+            assert (tmp_path / name).read_bytes() == \
+                (COMMITTED_CACHE / name).read_bytes(), name
 
 
 class TestCertification:

@@ -27,6 +27,25 @@ class TestArith:
     def test_content(self):
         assert poly_Z([9, 0, 6]).content() == 3
 
+    def test_content_beyond_integers(self):
+        # 1 + sqrt(3) divides both coefficients, yet no integer but 1 does
+        f = poly_ZS3([QuadInt(1, 1), QuadInt(4, 2)])
+        assert f.content() == QuadInt(-1, -1)
+        assert f.primitive_part() == poly_ZS3([1, QuadInt(1, 1)])
+        # a unit gcd leaves the integer content alone
+        assert (f.primitive_part() * QuadInt(2, 1) * 6).content() == 6
+
+    def test_gauss_content_random_zsqrt3(self):
+        rng = random.Random(9)
+
+        def rand(deg):
+            lead = QuadInt(1, rng.randint(1, 9))
+            return poly_ZS3([QuadInt(rng.randint(-9, 9), rng.randint(-9, 9))
+                             for _ in range(deg)] + [lead])
+        for _ in range(50):
+            p, q = rand(rng.randint(0, 4)), rand(rng.randint(0, 4))
+            assert (p.primitive_part() * q.primitive_part()).content() == 1
+
     def test_gcd_over_qsqrt3(self):
         f = Poly(QS3, [QuadRat(SQRT3) * -1, QuadRat(2)], "T")  # 2T - sqrt3
         g = f * Poly(QS3, [QuadRat(1), QuadRat(1)], "T")
